@@ -33,9 +33,11 @@ struct FcnnModel {
   /// Deep copy (Network is move-only, so copying must be explicit).
   [[nodiscard]] FcnnModel clone() const;
 
-  /// Approximate resident size in bytes (weights + normaliser constants +
-  /// metadata strings). The serve-layer ModelRegistry charges this against
-  /// its byte budget when deciding LRU evictions.
+  /// Resident size in bytes of a loaded model: weights, normaliser
+  /// constants and metadata strings. Dense layers size their gradient
+  /// buffers only when first trained, so a model restored by load() and
+  /// only served holds exactly this much. The serve-layer ModelRegistry
+  /// charges it against its byte budget when deciding LRU evictions.
   [[nodiscard]] std::size_t memory_bytes() const;
 
   /// Persist / restore the full model (network + normalisers + metadata).

@@ -1,12 +1,10 @@
 #include "vf/core/model.hpp"
 
-#include <cstring>
-#include <fstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "vf/nn/serialize.hpp"
 #include "vf/util/atomic_io.hpp"
-#include "vf/util/fault.hpp"
 
 namespace vf::core {
 
@@ -95,31 +93,16 @@ std::string metadata_payload(const FcnnModel& m) {
   return out.take();
 }
 
-/// Legacy (pre-versioning) two-file layout: metadata in `path`, network in
-/// `path`.net. No checksums; bounds come from the real byte counts.
-FcnnModel load_v1(std::istream& in, const std::string& path) {
-  FcnnModel m;
-  std::uint8_t grad = 1;
-  in.read(reinterpret_cast<char*>(&grad), 1);
-  m.with_gradients = grad != 0;
-  std::uint32_t nlen = 0;
-  in.read(reinterpret_cast<char*>(&nlen), sizeof nlen);
-  if (!in || nlen > kMaxNormWidth) {
-    throw std::runtime_error("FcnnModel::load: corrupt metadata");
-  }
-  m.dataset.resize(nlen);
-  in.read(m.dataset.data(), nlen);
-  in.read(reinterpret_cast<char*>(&m.trained_timestep),
-          sizeof m.trained_timestep);
-  const std::uint64_t rest = vf::util::bytes_remaining(in);
-  std::string body(static_cast<std::size_t>(rest), '\0');
-  in.read(body.data(), static_cast<std::streamsize>(rest));
-  vf::util::ByteReader tail(body, "FcnnModel::load");
-  m.in_norm = read_normalizer(tail);
-  m.out_norm = read_normalizer(tail);
-  tail.expect_end();
-  m.net = vf::nn::load_network(path + ".net");
-  return m;
+/// Metadata fields in the order metadata_payload writes them. The legacy
+/// (pre-versioning) layout stored the same fields, unframed and
+/// unchecksummed, right after the magic.
+void read_metadata(vf::util::ByteReader& in, FcnnModel& m) {
+  m.with_gradients = in.pod<std::uint8_t>() != 0;
+  m.dataset = in.str(kMaxNormWidth);
+  m.trained_timestep = in.pod<double>();
+  m.in_norm = read_normalizer(in);
+  m.out_norm = read_normalizer(in);
+  in.expect_end();
 }
 
 }  // namespace
@@ -140,38 +123,32 @@ void FcnnModel::save(const std::string& path) const {
 }
 
 FcnnModel FcnnModel::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in || vf::util::fault::should_fail("model_read")) {
-    throw std::runtime_error("FcnnModel::load: cannot open " + path);
-  }
-  char magic[4];
-  in.read(magic, 4);
-  if (!in || std::memcmp(magic, kMagic, 4) != 0) {
+  // One read, then every section is checked and parsed in place: the
+  // network's layers are copied once, from the file buffer into their
+  // matrices.
+  const std::string bytes =
+      vf::util::read_file(path, "FcnnModel::load", "model_read");
+  vf::util::ByteReader in(bytes, "FcnnModel::load");
+  if (in.view(4) != std::string_view(kMagic, 4)) {
     throw std::runtime_error("FcnnModel::load: bad magic in " + path);
   }
-  std::uint32_t version = 0;
-  in.read(reinterpret_cast<char*>(&version), sizeof version);
-  if (!in) throw std::runtime_error("FcnnModel::load: truncated " + path);
-  if (version != kVersion) {
-    // Not a known version marker: assume the legacy layout, whose next
-    // bytes are the grad flag + name length (never equal to a small
-    // version integer — the flag byte is 0/1 and names are short).
-    in.seekg(4);
-    return load_v1(in, path);
-  }
   FcnnModel m;
-  const std::string meta = vf::util::read_crc_section(
-      in, vf::util::bytes_remaining(in), "FcnnModel::load");
-  vf::util::ByteReader meta_in(meta, "FcnnModel::load");
-  m.with_gradients = meta_in.pod<std::uint8_t>() != 0;
-  m.dataset = meta_in.str(kMaxNormWidth);
-  m.trained_timestep = meta_in.pod<double>();
-  m.in_norm = read_normalizer(meta_in);
-  m.out_norm = read_normalizer(meta_in);
-  meta_in.expect_end();
-  const std::string net_bytes = vf::util::read_crc_section(
-      in, vf::util::bytes_remaining(in), "FcnnModel::load");
-  vf::util::expect_eof(in, "FcnnModel::load");
+  if (in.pod<std::uint32_t>() != kVersion) {
+    // Not a known version marker: assume the legacy two-file layout
+    // (metadata here, network in `path`.net), whose next bytes are the
+    // grad flag + name length (never equal to a small version integer —
+    // the flag byte is 0/1 and names are short). No checksums; bounds come
+    // from the real byte counts.
+    vf::util::ByteReader legacy(std::string_view(bytes).substr(4),
+                                "FcnnModel::load");
+    read_metadata(legacy, m);
+    m.net = vf::nn::load_network(path + ".net");
+    return m;
+  }
+  vf::util::ByteReader meta(in.section(), "FcnnModel::load");
+  read_metadata(meta, m);
+  const std::string_view net_bytes = in.section();
+  in.expect_end();
   m.net = vf::nn::network_from_bytes(net_bytes, "FcnnModel::load");
   return m;
 }

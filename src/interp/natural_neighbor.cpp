@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
@@ -34,26 +36,39 @@ vf::field::ScalarField NaturalNeighborReconstructor::reconstruct(
 
   // Pass 2: discrete Sibson scatter. Voxel u "would be stolen" by an
   // inserted query q iff |u - q| < |u - nn(u)|, so u contributes its
-  // sample's value to every voxel strictly within nn_dist(u) of u.
+  // sample's value to every voxel strictly within nn_dist(u) of u. Each
+  // target plane kq belongs to one iteration, which adds the contributions
+  // of the source voxels u reaching it in ascending index order — the
+  // order of a serial scatter — so the floating-point sums are the same at
+  // any thread count and under any schedule.
   std::vector<double> acc(static_cast<std::size_t>(n), 0.0);
   std::vector<double> wgt(static_cast<std::size_t>(n), 0.0);
   const auto& h = grid.spacing();
+  // Widest z reach (in planes) of any source voxel in each plane, so a
+  // target plane visits only the source planes that can reach it.
+  std::vector<int> plane_reach(static_cast<std::size_t>(d.nz), 0);
+  const std::int64_t plane = std::int64_t{d.nx} * d.ny;
+  for (std::int64_t u = 0; u < n; ++u) {
+    const double r = nn_dist[static_cast<std::size_t>(u)];
+    int& reach = plane_reach[static_cast<std::size_t>(u / plane)];
+    reach = std::max(reach, static_cast<int>(r / h.z));
+  }
 
-  // vf-par: atomic-accumulate — the scatter into acc/wgt crosses voxel
-  // ownership, so both increments are #pragma omp atomic below.
+  // vf-par: disjoint-writes — iteration kq writes only plane kq of acc/wgt.
 #pragma omp parallel for schedule(dynamic, 1)
-  for (int ku = 0; ku < d.nz; ++ku) {
-    for (int ju = 0; ju < d.ny; ++ju) {
-      for (int iu = 0; iu < d.nx; ++iu) {
-        std::int64_t u = grid.index(iu, ju, ku);
-        double r = nn_dist[static_cast<std::size_t>(u)];
-        double val = values[nn_id[static_cast<std::size_t>(u)]];
-        int rj = static_cast<int>(r / h.y);
-        int rk = static_cast<int>(r / h.z);
-        double r2 = r * r;
-        for (int kq = std::max(0, ku - rk); kq <= std::min(d.nz - 1, ku + rk);
-             ++kq) {
-          double dz = (kq - ku) * h.z;
+  for (int kq = 0; kq < d.nz; ++kq) {
+    for (int ku = 0; ku < d.nz; ++ku) {
+      const int dk = std::abs(kq - ku);
+      if (dk > plane_reach[static_cast<std::size_t>(ku)]) continue;
+      double dz = (kq - ku) * h.z;
+      for (int ju = 0; ju < d.ny; ++ju) {
+        for (int iu = 0; iu < d.nx; ++iu) {
+          std::int64_t u = grid.index(iu, ju, ku);
+          double r = nn_dist[static_cast<std::size_t>(u)];
+          if (dk > static_cast<int>(r / h.z)) continue;
+          double val = values[nn_id[static_cast<std::size_t>(u)]];
+          int rj = static_cast<int>(r / h.y);
+          double r2 = r * r;
           for (int jq = std::max(0, ju - rj);
                jq <= std::min(d.ny - 1, ju + rj); ++jq) {
             double dy = (jq - ju) * h.y;
@@ -66,9 +81,7 @@ vf::field::ScalarField NaturalNeighborReconstructor::reconstruct(
               double dx = (iq - iu) * h.x;
               if (dx * dx + dyz2 >= r2) continue;
               std::int64_t q = grid.index(iq, jq, kq);
-#pragma omp atomic
               acc[static_cast<std::size_t>(q)] += val;
-#pragma omp atomic
               wgt[static_cast<std::size_t>(q)] += 1.0;
             }
           }

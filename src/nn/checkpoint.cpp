@@ -5,8 +5,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "vf/nn/serialize.hpp"
@@ -96,7 +96,7 @@ std::string trainer_payload(const TrainerState& s) {
   return out.take();
 }
 
-void trainer_from_payload(const std::string& payload, TrainerState& s) {
+void trainer_from_payload(std::string_view payload, TrainerState& s) {
   vf::util::ByteReader in(payload, "checkpoint trainer state");
   s.epoch = in.pod<std::int32_t>();
   s.best = in.pod<double>();
@@ -146,7 +146,7 @@ std::string adam_payload(const AdamState& a) {
   return out.take();
 }
 
-void adam_from_payload(const std::string& payload, AdamState& a) {
+void adam_from_payload(std::string_view payload, AdamState& a) {
   vf::util::ByteReader in(payload, "checkpoint adam state");
   a.t = static_cast<long>(in.pod<std::int64_t>());
   const auto n = in.pod<std::uint32_t>();
@@ -223,28 +223,20 @@ std::vector<std::string> Checkpointer::list(const std::string& dir) {
 
 void Checkpointer::load(const std::string& path, Network& net,
                         TrainerState& state) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in || vf::util::fault::should_fail("checkpoint_read")) {
-    throw std::runtime_error("Checkpointer::load: cannot open " + path);
-  }
-  char magic[4];
-  in.read(magic, 4);
-  if (!in || std::memcmp(magic, kMagic, 4) != 0) {
+  const std::string bytes =
+      vf::util::read_file(path, "Checkpointer::load", "checkpoint_read");
+  vf::util::ByteReader in(bytes, "Checkpointer::load");
+  if (in.view(4) != std::string_view(kMagic, 4)) {
     throw std::runtime_error("Checkpointer::load: bad magic in " + path);
   }
-  std::uint32_t version = 0;
-  in.read(reinterpret_cast<char*>(&version), sizeof version);
-  if (!in || version != kVersion) {
+  if (in.pod<std::uint32_t>() != kVersion) {
     throw std::runtime_error("Checkpointer::load: unsupported version in " +
                              path);
   }
-  const std::string trainer_bytes = vf::util::read_crc_section(
-      in, vf::util::bytes_remaining(in), "Checkpointer::load");
-  const std::string net_bytes = vf::util::read_crc_section(
-      in, vf::util::bytes_remaining(in), "Checkpointer::load");
-  const std::string adam_bytes = vf::util::read_crc_section(
-      in, vf::util::bytes_remaining(in), "Checkpointer::load");
-  vf::util::expect_eof(in, "Checkpointer::load");
+  const std::string_view trainer_bytes = in.section();
+  const std::string_view net_bytes = in.section();
+  const std::string_view adam_bytes = in.section();
+  in.expect_end();
 
   // Parse everything before mutating the outputs so a corrupt checkpoint
   // cannot leave net/state half-restored.

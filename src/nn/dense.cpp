@@ -1,6 +1,7 @@
 #include "vf/nn/dense.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "vf/nn/kernels.hpp"
 #include "vf/util/contract.hpp"
@@ -16,7 +17,18 @@ DenseLayer::DenseLayer(std::size_t in, std::size_t out, std::uint64_t seed)
 }
 
 DenseLayer::DenseLayer(std::size_t in, std::size_t out)
-    : weights_(in, out), bias_(1, out), w_grad_(in, out), b_grad_(1, out) {}
+    : DenseLayer(Matrix(in, out), Matrix(1, out)) {}
+
+DenseLayer::DenseLayer(Matrix weights, Matrix bias)
+    : weights_(std::move(weights)), bias_(std::move(bias)) {
+  VF_REQUIRE(bias_.rows() == 1 && bias_.cols() == weights_.cols(),
+             "DenseLayer: bias must be (1 x out_features)");
+}
+
+void DenseLayer::ensure_grads() {
+  w_grad_.resize(weights_.rows(), weights_.cols());
+  b_grad_.resize(bias_.rows(), bias_.cols());
+}
 
 void DenseLayer::forward(const Matrix& input, Matrix& output) {
   VF_REQUIRE(input.cols() == weights_.rows(),
@@ -34,6 +46,7 @@ void DenseLayer::backward(const Matrix& grad_output, Matrix& grad_input) {
              "DenseLayer::backward: grad shape != forward output shape");
   if (trainable_) {
     // dW = x^T . dy ; db = column sums of dy. Accumulate across the batch.
+    ensure_grads();
     Matrix wg, bg;
     gemm_at_b(input_, grad_output, wg);
     sum_rows(grad_output, bg);
@@ -46,6 +59,7 @@ void DenseLayer::backward(const Matrix& grad_output, Matrix& grad_input) {
 }
 
 std::vector<Param> DenseLayer::params() {
+  ensure_grads();
   return {{&weights_, &w_grad_, trainable_}, {&bias_, &b_grad_, trainable_}};
 }
 

@@ -13,8 +13,14 @@ class DenseLayer final : public Layer {
   /// biases start at zero. `seed` makes initialisation reproducible.
   DenseLayer(std::size_t in, std::size_t out, std::uint64_t seed);
 
-  /// Uninitialised layer for the deserializer.
+  /// Zero weights and biases.
   DenseLayer(std::size_t in, std::size_t out);
+
+  /// Take ownership of parsed or copied parameters: `weights` is
+  /// (in x out), `bias` is (1 x out). Gradient buffers stay empty until the
+  /// layer is first trained (params() or backward()), so a layer that only
+  /// serves inference holds its weights and nothing else.
+  DenseLayer(Matrix weights, Matrix bias);
 
   [[nodiscard]] std::string kind() const override { return "dense"; }
   void forward(const Matrix& input, Matrix& output) override;
@@ -34,9 +40,13 @@ class DenseLayer final : public Layer {
   [[nodiscard]] const Matrix& bias() const { return bias_; }
 
  private:
+  /// Size the gradient accumulators to the parameters (zero-filled) the
+  /// first time training touches them; no-op afterwards.
+  void ensure_grads();
+
   Matrix weights_;   // (in x out)
   Matrix bias_;      // (1 x out)
-  Matrix w_grad_;
+  Matrix w_grad_;    // empty until ensure_grads()
   Matrix b_grad_;
   Matrix input_;     // cached forward input
 };

@@ -16,6 +16,7 @@
 // checksums) are still readable, with the same exact-size discipline.
 
 #include <string>
+#include <string_view>
 
 #include "vf/nn/network.hpp"
 
@@ -28,10 +29,11 @@ void save_network(const Network& net, const std::string& path);
 /// Load a network saved with save_network.
 Network load_network(const std::string& path);
 
-/// The v2 on-disk byte layout, in memory. The checkpoint format embeds
-/// networks through these instead of touching the filesystem twice.
+/// The v2 on-disk byte layout, in memory. The model and checkpoint formats
+/// embed networks through these instead of touching the filesystem twice;
+/// network_from_bytes parses a view of the container's buffer in place.
 std::string network_to_bytes(const Network& net);
-Network network_from_bytes(const std::string& bytes, const char* what);
+Network network_from_bytes(std::string_view bytes, const char* what);
 
 /// Save only the last `n` dense layers' weights (Case-2 per-timestep delta).
 void save_dense_tail(const Network& net, int n, const std::string& path);

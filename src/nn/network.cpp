@@ -127,7 +127,9 @@ void Network::zero_grad() {
 std::size_t Network::parameter_count() const {
   std::size_t n = 0;
   for (const auto& l : layers_) {
-    for (const auto& p : const_cast<Layer&>(*l).params()) n += p.value->size();
+    if (l->kind() != "dense") continue;
+    const auto& d = static_cast<const DenseLayer&>(*l);
+    n += d.weights().size() + d.bias().size();
   }
   return n;
 }
@@ -159,9 +161,7 @@ Network Network::clone() const {
   for (const auto& l : layers_) {
     if (l->kind() == "dense") {
       const auto& d = static_cast<const DenseLayer&>(*l);
-      auto nd = std::make_unique<DenseLayer>(d.in_features(), d.out_features());
-      nd->weights() = d.weights();
-      nd->bias() = d.bias();
+      auto nd = std::make_unique<DenseLayer>(d.weights(), d.bias());
       nd->set_trainable(d.trainable());
       copy.add(std::move(nd));
     } else if (l->kind() == "relu") {

@@ -1,16 +1,14 @@
 #include "vf/nn/serialize.hpp"
 
 #include <cstdint>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "vf/util/atomic_io.hpp"
 #include "vf/util/contract.hpp"
-#include "vf/util/fault.hpp"
 
 namespace vf::nn {
 
@@ -33,19 +31,19 @@ void write_matrix(ByteWriter& out, const Matrix& m) {
   out.bytes(m.data().data(), m.size() * sizeof(double));
 }
 
-Matrix read_matrix(ByteReader& in) {
+Matrix read_matrix(ByteReader& in, const char* what) {
   const auto rows = in.pod<std::uint64_t>();
   const auto cols = in.pod<std::uint64_t>();
-  if (rows == 0 || cols == 0 || rows * cols > kMaxMatrixElements ||
+  if (rows == 0 || cols == 0 || cols > kMaxMatrixElements / rows ||
       rows * cols * sizeof(double) > in.remaining()) {
-    throw std::runtime_error("nn serialize: corrupt matrix header");
+    throw std::runtime_error(std::string(what) + ": corrupt matrix header");
   }
   Matrix m(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
   in.bytes(m.data().data(), m.size() * sizeof(double));
   return m;
 }
 
-/// One layer's section payload: kind, trainability, parameters.
+/// One layer record: kind, trainability, parameters.
 std::string layer_payload(const Layer& l) {
   ByteWriter out;
   out.str(l.kind());
@@ -60,21 +58,22 @@ std::string layer_payload(const Layer& l) {
   return out.take();
 }
 
-std::unique_ptr<Layer> layer_from_payload(const std::string& payload) {
-  ByteReader in(payload, "load_network");
+/// Parse one layer record. Version 2 frames each record in its own CRC
+/// section; version 1 (unchecksummed, kept so archived models still load)
+/// wrote them back to back. Either way the ByteReader bounds every field
+/// against the real byte count.
+std::unique_ptr<Layer> read_layer(ByteReader& in, const char* what) {
   const std::string kind = in.str(64);
   const auto trainable = in.pod<std::uint8_t>();
   std::unique_ptr<Layer> layer;
   if (kind == "dense") {
-    Matrix w = read_matrix(in);
-    Matrix b = read_matrix(in);
+    Matrix w = read_matrix(in, what);
+    Matrix b = read_matrix(in, what);
     if (b.rows() != 1 || b.cols() != w.cols()) {
-      throw std::runtime_error("load_network: bias/weights shape mismatch");
+      throw std::runtime_error(std::string(what) +
+                               ": bias/weights shape mismatch");
     }
-    auto d = std::make_unique<DenseLayer>(w.rows(), w.cols());
-    d->weights() = std::move(w);
-    d->bias() = std::move(b);
-    layer = std::move(d);
+    layer = std::make_unique<DenseLayer>(std::move(w), std::move(b));
   } else if (kind == "relu") {
     layer = std::make_unique<ReluLayer>();
   } else if (kind == "tanh") {
@@ -82,76 +81,11 @@ std::unique_ptr<Layer> layer_from_payload(const std::string& payload) {
   } else if (kind == "leaky_relu") {
     layer = std::make_unique<LeakyReluLayer>(in.pod<double>());
   } else {
-    throw std::runtime_error("load_network: unknown layer kind " + kind);
+    throw std::runtime_error(std::string(what) + ": unknown layer kind " +
+                             kind);
   }
   layer->set_trainable(trainable != 0);
-  in.expect_end();
   return layer;
-}
-
-std::string slurp(const std::string& path, const char* what) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in || vf::util::fault::should_fail("serialize_read")) {
-    throw std::runtime_error(std::string(what) + ": cannot open " + path);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (!in && !in.eof()) {
-    throw std::runtime_error(std::string(what) + ": read failed for " + path);
-  }
-  return buf.str();
-}
-
-// ---- legacy (version 1, unchecksummed) parsing ---------------------------
-// Kept so models archived before the crash-safe format still load. The
-// ByteReader bounds every field against the real file size, and expect_end
-// enforces exact consumption, so v1 files get the same trailing-garbage and
-// giant-header protection even without CRCs.
-
-Matrix read_matrix_v1(ByteReader& in, const char* what) {
-  const auto rows = in.pod<std::uint64_t>();
-  const auto cols = in.pod<std::uint64_t>();
-  if (rows == 0 || cols == 0 || rows * cols > kMaxMatrixElements ||
-      rows * cols * sizeof(double) > in.remaining()) {
-    throw std::runtime_error(std::string(what) + ": corrupt matrix header");
-  }
-  Matrix m(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
-  in.bytes(m.data().data(), m.size() * sizeof(double));
-  return m;
-}
-
-Network network_from_bytes_v1(ByteReader& in) {
-  const auto layers = in.pod<std::uint32_t>();
-  Network net;
-  for (std::uint32_t i = 0; i < layers; ++i) {
-    const std::string kind = in.str(64);
-    const auto trainable = in.pod<std::uint8_t>();
-    if (kind == "dense") {
-      Matrix w = read_matrix_v1(in, "load_network");
-      Matrix b = read_matrix_v1(in, "load_network");
-      auto d = std::make_unique<DenseLayer>(w.rows(), w.cols());
-      d->weights() = std::move(w);
-      d->bias() = std::move(b);
-      d->set_trainable(trainable != 0);
-      net.add(std::move(d));
-    } else if (kind == "relu") {
-      auto l = std::make_unique<ReluLayer>();
-      l->set_trainable(trainable != 0);
-      net.add(std::move(l));
-    } else if (kind == "tanh") {
-      auto l = std::make_unique<TanhLayer>();
-      l->set_trainable(trainable != 0);
-      net.add(std::move(l));
-    } else if (kind == "leaky_relu") {
-      auto l = std::make_unique<LeakyReluLayer>(in.pod<double>());
-      l->set_trainable(trainable != 0);
-      net.add(std::move(l));
-    } else {
-      throw std::runtime_error("load_network: unknown layer kind " + kind);
-    }
-  }
-  in.expect_end();
-  return net;
 }
 
 }  // namespace
@@ -170,36 +104,30 @@ std::string network_to_bytes(const Network& net) {
   return out.str();
 }
 
-Network network_from_bytes(const std::string& bytes, const char* what) {
-  std::istringstream in(bytes);
-  char magic[4];
-  in.read(magic, 4);
-  std::uint32_t version = 0;
-  in.read(reinterpret_cast<char*>(&version), sizeof version);
-  if (!in || std::memcmp(magic, kMagic, 4) != 0) {
+Network network_from_bytes(std::string_view bytes, const char* what) {
+  ByteReader in(bytes, what);
+  if (in.view(4) != std::string_view(kMagic, 4)) {
     throw std::runtime_error(std::string(what) + ": bad magic");
   }
+  const auto version = in.pod<std::uint32_t>();
+  Network net;
   if (version == kLegacyVersion) {
-    ByteReader body(bytes, what);
-    body.bytes(magic, 4);          // skip magic
-    body.pod<std::uint32_t>();     // skip version
-    return network_from_bytes_v1(body);
-  }
-  if (version != kVersion) {
+    const auto layers = in.pod<std::uint32_t>();
+    for (std::uint32_t i = 0; i < layers; ++i) net.add(read_layer(in, what));
+  } else if (version == kVersion) {
+    ByteReader hdr(in.section(), what);
+    const auto layers = hdr.pod<std::uint32_t>();
+    hdr.expect_end();
+    for (std::uint32_t i = 0; i < layers; ++i) {
+      ByteReader layer(in.section(), what);
+      net.add(read_layer(layer, what));
+      layer.expect_end();
+    }
+  } else {
     throw std::runtime_error(std::string(what) + ": unsupported version " +
                              std::to_string(version));
   }
-  const std::string header =
-      vf::util::read_crc_section(in, vf::util::bytes_remaining(in), what);
-  ByteReader hdr(header, what);
-  const auto layers = hdr.pod<std::uint32_t>();
-  hdr.expect_end();
-  Network net;
-  for (std::uint32_t i = 0; i < layers; ++i) {
-    net.add(layer_from_payload(
-        vf::util::read_crc_section(in, vf::util::bytes_remaining(in), what)));
-  }
-  vf::util::expect_eof(in, what);
+  in.expect_end();
   return net;
 }
 
@@ -212,7 +140,9 @@ void save_network(const Network& net, const std::string& path) {
 
 Network load_network(const std::string& path) {
   try {
-    return network_from_bytes(slurp(path, "load_network"), "load_network");
+    return network_from_bytes(
+        vf::util::read_file(path, "load_network", "serialize_read"),
+        "load_network");
   } catch (const std::runtime_error& e) {
     throw std::runtime_error(std::string(e.what()) + " in " + path);
   }
@@ -245,15 +175,13 @@ void save_dense_tail(const Network& net, int n, const std::string& path) {
 }
 
 void load_dense_tail(Network& net, int n, const std::string& path) {
-  const std::string bytes = slurp(path, "load_dense_tail");
-  std::istringstream in(bytes);
-  char magic[4];
-  in.read(magic, 4);
-  if (!in || std::memcmp(magic, kTailMagic, 4) != 0) {
+  const std::string bytes =
+      vf::util::read_file(path, "load_dense_tail", "serialize_read");
+  ByteReader in(bytes, "load_dense_tail");
+  if (in.view(4) != std::string_view(kTailMagic, 4)) {
     throw std::runtime_error("load_dense_tail: bad magic in " + path);
   }
-  std::uint32_t version = 0;
-  in.read(reinterpret_cast<char*>(&version), sizeof version);
+  const auto version = in.pod<std::uint32_t>();
 
   const int total = net.dense_count();
   VF_REQUIRE(n >= 0 && n <= total,
@@ -262,42 +190,35 @@ void load_dense_tail(Network& net, int n, const std::string& path) {
   // Parse every tail matrix before touching `net`, so a corrupt later
   // section cannot leave the network half-overwritten.
   std::vector<std::pair<Matrix, Matrix>> tail;
-  if (version == kLegacyVersion) {
-    ByteReader body(bytes, "load_dense_tail");
-    body.bytes(magic, 4);
-    body.pod<std::uint32_t>();  // version
-    const auto count = body.pod<std::uint32_t>();
+  const auto check_count = [n](std::uint32_t count) {
     if (static_cast<int>(count) != n) {
       throw std::runtime_error("load_dense_tail: layer count mismatch");
     }
+  };
+  if (version == kLegacyVersion) {
+    const auto count = in.pod<std::uint32_t>();
+    check_count(count);
     for (std::uint32_t i = 0; i < count; ++i) {
-      Matrix w = read_matrix_v1(body, "load_dense_tail");
-      Matrix b = read_matrix_v1(body, "load_dense_tail");
+      Matrix w = read_matrix(in, "load_dense_tail");
+      Matrix b = read_matrix(in, "load_dense_tail");
       tail.emplace_back(std::move(w), std::move(b));
     }
-    body.expect_end();
   } else if (version == kVersion) {
-    const std::string header = vf::util::read_crc_section(
-        in, vf::util::bytes_remaining(in), "load_dense_tail");
-    ByteReader hdr(header, "load_dense_tail");
+    ByteReader hdr(in.section(), "load_dense_tail");
     const auto count = hdr.pod<std::uint32_t>();
     hdr.expect_end();
-    if (static_cast<int>(count) != n) {
-      throw std::runtime_error("load_dense_tail: layer count mismatch");
-    }
+    check_count(count);
     for (std::uint32_t i = 0; i < count; ++i) {
-      const std::string payload = vf::util::read_crc_section(
-          in, vf::util::bytes_remaining(in), "load_dense_tail");
-      ByteReader section(payload, "load_dense_tail");
-      Matrix w = read_matrix(section);
-      Matrix b = read_matrix(section);
+      ByteReader section(in.section(), "load_dense_tail");
+      Matrix w = read_matrix(section, "load_dense_tail");
+      Matrix b = read_matrix(section, "load_dense_tail");
       section.expect_end();
       tail.emplace_back(std::move(w), std::move(b));
     }
-    vf::util::expect_eof(in, "load_dense_tail");
   } else {
     throw std::runtime_error("load_dense_tail: unsupported version in " + path);
   }
+  in.expect_end();
 
   int seen = 0;
   std::size_t next = 0;
@@ -309,7 +230,7 @@ void load_dense_tail(Network& net, int n, const std::string& path) {
     auto& d = static_cast<DenseLayer&>(l);
     auto& [w, b] = tail[next++];
     if (w.rows() != d.weights().rows() || w.cols() != d.weights().cols() ||
-        b.cols() != d.bias().cols()) {
+        b.rows() != 1 || b.cols() != d.bias().cols()) {
       throw std::runtime_error("load_dense_tail: shape mismatch");
     }
     d.weights() = std::move(w);

@@ -322,44 +322,6 @@ std::string status_response(std::int64_t id, Status status,
 
 namespace {
 
-/// Bounds-checked sequential reader over a frame payload — the ByteReader
-/// discipline from atomic_io, over a string_view so decode never copies
-/// the payload before validating it. Overruns throw; the frame decoders
-/// translate that into FrameStatus::Corrupt.
-struct PayloadReader {
-  std::string_view buf;
-  std::size_t at = 0;
-
-  template <typename T>
-  T pod() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    T v{};
-    bytes(&v, sizeof v);
-    return v;
-  }
-  void bytes(void* dst, std::size_t len) {
-    if (len > buf.size() - at) {
-      throw std::runtime_error("VFW1: truncated payload record");
-    }
-    if (len > 0) std::memcpy(dst, buf.data() + at, len);
-    at += len;
-  }
-  std::string str(std::size_t max_len) {
-    const auto len = pod<std::uint32_t>();
-    if (len > max_len || len > buf.size() - at) {
-      throw std::runtime_error("VFW1: oversized string field");
-    }
-    std::string s(buf.substr(at, len));
-    at += len;
-    return s;
-  }
-  void expect_end() const {
-    if (at != buf.size()) {
-      throw std::runtime_error("VFW1: trailing payload bytes");
-    }
-  }
-};
-
 /// Wrap a finished payload in the VFW1 frame: magic, length, payload, CRC.
 std::string frame_payload(const std::string& payload) {
   std::string out;
@@ -516,15 +478,14 @@ FrameStatus decode_request_frame(std::string_view buf, std::size_t& consumed,
   const FrameStatus framed = open_frame(buf, consumed, payload, error);
   if (framed != FrameStatus::Ok) return framed;
   try {
-    PayloadReader r{payload, 0};
+    vf::util::ByteReader r(payload, "VFW1");
     const auto verb_byte = r.pod<std::uint8_t>();
     (void)r.pod<std::uint8_t>();  // flags, reserved
     out.id = r.pod<std::int64_t>();
     out.deadline_ms = r.pod<double>();
     out.key = r.str(kMaxStringField);
     const auto n_points = r.pod<std::uint32_t>();
-    if (std::size_t{n_points} * sizeof(vf::field::Vec3) >
-        payload.size() - r.at) {
+    if (std::size_t{n_points} * sizeof(vf::field::Vec3) > r.remaining()) {
       throw std::runtime_error("VFW1: point count exceeds payload");
     }
     out.points.resize(n_points);
@@ -582,7 +543,7 @@ FrameStatus decode_response_frame(std::string_view buf, std::size_t& consumed,
   const FrameStatus framed = open_frame(buf, consumed, payload, error);
   if (framed != FrameStatus::Ok) return framed;
   try {
-    PayloadReader r{payload, 0};
+    vf::util::ByteReader r(payload, "VFW1");
     const auto verb_byte = r.pod<std::uint8_t>();
     const auto code = r.pod<std::uint8_t>();
     const auto flags = r.pod<std::uint8_t>();
@@ -600,7 +561,7 @@ FrameStatus decode_response_frame(std::string_view buf, std::size_t& consumed,
     out.message = r.str(kMaxStringField);
     out.json_body = r.str(kMaxStringField);
     const auto n_values = r.pod<std::uint32_t>();
-    if (std::size_t{n_values} * sizeof(double) > payload.size() - r.at) {
+    if (std::size_t{n_values} * sizeof(double) > r.remaining()) {
       throw std::runtime_error("VFW1: value count exceeds payload");
     }
     out.values.resize(n_values);

@@ -1,6 +1,7 @@
 #include "vf/util/atomic_io.hpp"
 
 #include <array>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -8,6 +9,7 @@
 #include <fstream>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "vf/util/fault.hpp"
@@ -16,19 +18,39 @@ namespace vf::util {
 
 namespace {
 
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1u) : c >> 1u;
-      }
-      t[i] = c;
+// The word loads in crc32 and every on-disk format (POD fields written in
+// native layout) assume a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "vf::util formats and crc32 assume a little-endian host");
+
+/// Slicing-by-16 tables: kCrcTables[0] is the bytewise IEEE table, and
+/// kCrcTables[k][b] advances the CRC of byte b by k further zero bytes, so
+/// one step folds 16 input bytes with 16 independent lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 16>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1u) : c >> 1u;
     }
-    return t;
-  }();
-  return table;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8u) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+std::uint32_t load_u32(const unsigned char* p) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  return v;
 }
 
 /// fsync the file at `path` via a short-lived descriptor (ofstream cannot
@@ -58,12 +80,57 @@ void fsync_parent_dir(const std::string& path) {
 
 std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed) {
   const auto* bytes = static_cast<const unsigned char*>(data);
+  const auto& t = kCrcTables;
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  const auto& table = crc_table();
-  for (std::size_t i = 0; i < len; ++i) {
-    c = table[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8u);
+  for (; len >= 16; bytes += 16, len -= 16) {
+    const std::uint32_t a = load_u32(bytes) ^ c;
+    const std::uint32_t b = load_u32(bytes + 4);
+    const std::uint32_t d = load_u32(bytes + 8);
+    const std::uint32_t e = load_u32(bytes + 12);
+    c = t[15][a & 0xFFu] ^ t[14][(a >> 8u) & 0xFFu] ^
+        t[13][(a >> 16u) & 0xFFu] ^ t[12][a >> 24u] ^
+        t[11][b & 0xFFu] ^ t[10][(b >> 8u) & 0xFFu] ^
+        t[9][(b >> 16u) & 0xFFu] ^ t[8][b >> 24u] ^
+        t[7][d & 0xFFu] ^ t[6][(d >> 8u) & 0xFFu] ^
+        t[5][(d >> 16u) & 0xFFu] ^ t[4][d >> 24u] ^
+        t[3][e & 0xFFu] ^ t[2][(e >> 8u) & 0xFFu] ^
+        t[1][(e >> 16u) & 0xFFu] ^ t[0][e >> 24u];
+  }
+  for (; len > 0; ++bytes, --len) {
+    c = t[0][(c ^ *bytes) & 0xFFu] ^ (c >> 8u);
   }
   return c ^ 0xFFFFFFFFu;
+}
+
+std::string read_file(const std::string& path, const char* what,
+                      const char* failpoint) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);  // NOLINT(cppcoreguidelines-pro-type-vararg,hicpp-vararg)
+  if (fd < 0 || fault::should_fail(failpoint)) {
+    if (fd >= 0) ::close(fd);
+    throw std::runtime_error(std::string(what) + ": cannot open " + path);
+  }
+  const struct FdGuard {
+    int fd;
+    ~FdGuard() { ::close(fd); }
+  } guard{fd};
+  // Size the buffer from the open descriptor, not the path: a concurrent
+  // atomic_write_file may rename a new file over `path` meanwhile.
+  struct stat st {};
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    throw std::runtime_error(std::string(what) + ": not a regular file " +
+                             path);
+  }
+  std::string bytes(static_cast<std::size_t>(st.st_size), '\0');
+  for (std::size_t got = 0; got < bytes.size();) {
+    const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      throw std::runtime_error(std::string(what) + ": read failed for " +
+                               path);
+    }
+    got += static_cast<std::size_t>(n);
+  }
+  return bytes;
 }
 
 void atomic_write_file(const std::string& path,
@@ -167,9 +234,25 @@ void read_crc_section_into(std::istream& in, void* dst, std::uint64_t expected,
   }
 }
 
+std::string_view ByteReader::section() {
+  const auto size = pod<std::uint64_t>();
+  if (size > remaining()) {
+    corrupt("corrupt section size (torn or tampered file)");
+  }
+  const std::string_view payload = view(static_cast<std::size_t>(size));
+  if (remaining() < sizeof(std::uint32_t)) corrupt("truncated section");
+  if (crc32(payload.data(), payload.size()) != pod<std::uint32_t>()) {
+    corrupt("section checksum mismatch");
+  }
+  return payload;
+}
+
 void ByteReader::overrun() const {
-  throw std::runtime_error(std::string(what_) +
-                           ": corrupt payload (field extends past section)");
+  corrupt("corrupt payload (field extends past section)");
+}
+
+void ByteReader::corrupt(const char* why) const {
+  throw std::runtime_error(std::string(what_) + ": " + why);
 }
 
 void expect_eof(std::istream& in, const char* what) {

@@ -14,16 +14,20 @@
 // `u64 size | bytes | u32 crc32`, which is how the v2 serialization formats
 // detect torn writes and bit flips: a loader rejects a section whose size
 // exceeds the bytes actually left in the file (no multi-GB allocations from
-// a corrupt header) and whose checksum does not match.
+// a corrupt header) and whose checksum does not match. Loaders of files
+// that fit in memory read them once with read_file and parse the buffer
+// through a ByteReader, whose section() hands each payload out as a view.
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -36,6 +40,14 @@ namespace vf::util {
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `len` bytes. Chainable:
 /// pass the previous result as `seed` to extend a running checksum.
 std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed = 0);
+
+/// The whole regular file at `path` in one buffer, for loaders that parse
+/// it through a ByteReader. `failpoint` names the fault site (see
+/// vf/util/fault.hpp) that injects an open failure. Throws
+/// std::runtime_error tagged with `what` when the file cannot be opened,
+/// is not a regular file, or cannot be read in full.
+std::string read_file(const std::string& path, const char* what,
+                      const char* failpoint);
 
 /// Atomically replace `path` with the bytes `writer` produces: write-temp,
 /// flush, fsync, rename. On any failure (including injected faults) the
@@ -57,10 +69,12 @@ void write_crc_section(std::ostream& out, const void* data, std::size_t len);
 void read_crc_section_into(std::istream& in, void* dst, std::uint64_t expected,
                            const char* what);
 
-/// Read back one checksummed section. `max_size` bounds the allocation
-/// (callers pass the bytes remaining in the file, so corrupt sizes are
-/// rejected before any allocation). Throws std::runtime_error with `what`
-/// in the message on truncation, oversize, or checksum mismatch.
+/// Read back one checksummed section from a stream — the counterpart of
+/// ByteReader::section() for files too large to read whole (VFB fields).
+/// `max_size` bounds the allocation (callers pass the bytes remaining in
+/// the file, so corrupt sizes are rejected before any allocation). Throws
+/// std::runtime_error with `what` in the message on truncation, oversize,
+/// or checksum mismatch.
 std::string read_crc_section(std::istream& in, std::uint64_t max_size,
                              const char* what);
 
@@ -98,11 +112,12 @@ class ByteWriter {
 
 /// Bounds-checked cursor over an in-memory payload. Every overrun throws
 /// std::runtime_error tagged with `what`, so a corrupt length field can
-/// never read past the buffer or trigger an oversized allocation.
+/// never read past the buffer or trigger an oversized allocation. The
+/// reader views the caller's buffer, which must outlive it and every view
+/// it hands out.
 class ByteReader {
  public:
-  ByteReader(const std::string& buf, const char* what)
-      : buf_(buf), what_(what) {}
+  ByteReader(std::string_view buf, const char* what) : buf_(buf), what_(what) {}
 
   template <typename T>
   T pod() {
@@ -112,19 +127,27 @@ class ByteReader {
     return v;
   }
   void bytes(void* dst, std::size_t len) {
-    if (len > buf_.size() - at_) overrun();
-    std::char_traits<char>::copy(static_cast<char*>(dst), buf_.data() + at_,
-                                 len);
+    if (len > remaining()) overrun();
+    if (len > 0) std::memcpy(dst, buf_.data() + at_, len);
     at_ += len;
+  }
+  /// The next `len` bytes as a view into the buffer (no copy).
+  std::string_view view(std::size_t len) {
+    if (len > remaining()) overrun();
+    const std::string_view v = buf_.substr(at_, len);
+    at_ += len;
+    return v;
   }
   /// Length-prefixed string, rejecting lengths above `max_len`.
   std::string str(std::uint64_t max_len) {
     const auto len = pod<std::uint32_t>();
-    if (len > max_len || len > remaining()) overrun();
-    std::string s(len, '\0');
-    bytes(s.data(), len);
-    return s;
+    if (len > max_len) overrun();
+    return std::string(view(len));
   }
+  /// One `u64 size | bytes | u32 crc32` section as write_crc_section frames
+  /// it. Rejects a size past the bytes left, a missing checksum, and a
+  /// checksum mismatch; returns the payload as a view into the buffer.
+  std::string_view section();
   [[nodiscard]] std::uint64_t remaining() const { return buf_.size() - at_; }
   /// Throw unless the payload was consumed exactly (no trailing bytes).
   void expect_end() const {
@@ -133,8 +156,9 @@ class ByteReader {
 
  private:
   [[noreturn]] void overrun() const;
+  [[noreturn]] void corrupt(const char* why) const;
 
-  const std::string& buf_;
+  std::string_view buf_;
   std::size_t at_ = 0;
   const char* what_;
 };

@@ -8,11 +8,14 @@
 // below are exhaustive (every truncation length, every bit of every byte),
 // which the suite can afford because the fixtures are tiny; the suite runs
 // under ASan/UBSan via the `sanitize` label, so an out-of-bounds parse of a
-// corrupt header would be caught even if it failed to throw.
+// corrupt header would be caught even if it failed to throw. A golden test
+// pins the VFMD bytes themselves, so a format or checksum change cannot
+// pass by round-tripping only its own files.
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -21,6 +24,7 @@
 
 #include "vf/core/model.hpp"
 #include "vf/field/native_io.hpp"
+#include "vf/nn/network.hpp"
 #include "vf/nn/serialize.hpp"
 #include "vf/util/atomic_io.hpp"
 
@@ -204,20 +208,63 @@ TEST_F(IoFuzzTest, ModelFileRejectsEveryTruncationAndTrailingGarbage) {
 
   const auto p = path("model.vfmd");
   model.save(p);
-  const std::string blob = slurp(p);
-  const auto q = path("model_fuzz.vfmd");
+  // Every truncation, every single-bit flip, and trailing bytes.
+  fuzz_blob(slurp(p), path("model_fuzz.vfmd"), [](const std::string& f) {
+    (void)vf::core::FcnnModel::load(f);
+  });
+}
 
-  spew(q, blob);
-  EXPECT_NO_THROW((void)vf::core::FcnnModel::load(q));
+// ---- Golden bytes ---------------------------------------------------------
 
-  for (std::size_t len = 0; len < blob.size(); ++len) {
-    spew(q, blob.substr(0, len));
-    EXPECT_THROW((void)vf::core::FcnnModel::load(q), std::runtime_error)
-        << "truncated to " << len << " of " << blob.size();
+/// FNV-1a 64 of a file's bytes: a fingerprint independent of the CRC-32
+/// the formats embed.
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
   }
+  return h;
+}
 
-  spew(q, blob + "x");
-  EXPECT_THROW((void)vf::core::FcnnModel::load(q), std::runtime_error);
+TEST_F(IoFuzzTest, ModelFileBytesMatchGolden) {
+  // A model built from fixed, RNG-free weights must serialise to the bytes
+  // every earlier build wrote: same layout, same per-section CRC-32
+  // values. A change here breaks every model file already on disk.
+  vf::nn::Network net;
+  net.add(std::make_unique<vf::nn::DenseLayer>(3, 20));
+  net.add(std::make_unique<vf::nn::ReluLayer>());
+  net.add(std::make_unique<vf::nn::DenseLayer>(20, 2));
+  net.add(std::make_unique<vf::nn::LeakyReluLayer>(0.125));
+  int k = 0;
+  for (std::size_t i = 0; i < net.layer_count(); ++i) {
+    if (net.layer(i).kind() != "dense") continue;
+    auto& d = static_cast<vf::nn::DenseLayer&>(net.layer(i));
+    for (double& w : d.weights().data()) w = 0.0625 * (k++ % 37) - 1.0;
+    for (double& b : d.bias().data()) b = 0.5 - 0.25 * (k++ % 5);
+  }
+  net.layer(0).set_trainable(false);
+
+  vf::core::FcnnModel model;
+  model.net = std::move(net);
+  model.in_norm.mean = {0.5, -1.25, 3.0};
+  model.in_norm.stddev = {1.0, 2.0, 0.75};
+  model.out_norm.mean = {-0.5, 8.0};
+  model.out_norm.stddev = {4.0, 0.25};
+  model.with_gradients = false;
+  model.dataset = "golden";
+  model.trained_timestep = 12.0;
+
+  const auto p = path("golden.vfmd");
+  model.save(p);
+  const std::string bytes = slurp(p);
+  EXPECT_EQ(bytes.size(), 1303u);
+  EXPECT_EQ(fnv1a64(bytes), 0xacfeb4265612ea3dull)
+      << std::hex << "fnv1a64 = 0x" << fnv1a64(bytes);
+
+  const auto back = vf::core::FcnnModel::load(p);
+  EXPECT_EQ(back.dataset, "golden");
+  EXPECT_EQ(back.net.parameter_count(), model.net.parameter_count());
 }
 
 }  // namespace

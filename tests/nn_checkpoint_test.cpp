@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include "vf/core/model.hpp"
 #include "vf/nn/checkpoint.hpp"
 #include "vf/nn/dense.hpp"
 #include "vf/nn/trainer.hpp"
@@ -354,6 +355,61 @@ TEST_F(CheckpointTest, ResumeRejectsMismatchedDataset) {
   opts.resume = true;
   EXPECT_THROW((void)vf::nn::Trainer(opts).fit(net2, x2, y2),
                std::runtime_error);
+}
+
+TEST_F(CheckpointTest, RestoredNetworksFineTuneLikeTheOriginal) {
+  // A network restored by FcnnModel::load or Checkpointer::load carries no
+  // gradient buffers until it is first trained; fine-tuning it must match
+  // fine-tuning the in-memory original, whose buffers are sized and dirty
+  // from pretraining, bit for bit.
+  const TrainFixture fx;
+  auto original = Network::mlp(4, {6, 5}, 2, /*seed=*/5);
+  auto pretrain = fx.options("");
+  pretrain.epochs = 2;
+  pretrain.validation_fraction = 0.0;
+  (void)vf::nn::Trainer(pretrain).fit(original, fx.X, fx.Y);
+
+  // sample_state takes one Adam step on `original`, so checkpoint first
+  // and save the model file from the stepped weights.
+  const Checkpointer ck({subdir("ft"), 1, 1});
+  ck.write(original, sample_state(original, 2));
+  Network from_ckpt;
+  TrainerState st;
+  Checkpointer::load(Checkpointer::list(subdir("ft")).back(), from_ckpt, st);
+
+  vf::core::FcnnModel model;
+  model.net = original.clone();
+  model.in_norm.mean.assign(4, 0.0);
+  model.in_norm.stddev.assign(4, 1.0);
+  model.out_norm.mean.assign(2, 0.0);
+  model.out_norm.stddev.assign(2, 1.0);
+  model.save(subdir("m.vfmd"));
+  Network from_model = vf::core::FcnnModel::load(subdir("m.vfmd")).net;
+
+  // First use sizes every gradient to its parameter, zero-filled.
+  for (const auto& p : from_model.params()) {
+    EXPECT_EQ(p.grad->rows(), p.value->rows());
+    EXPECT_EQ(p.grad->cols(), p.value->cols());
+    EXPECT_EQ(p.grad->squared_norm(), 0.0);
+  }
+
+  // Case-2 fine-tune (last two dense layers trainable) on a shifted
+  // target, the pipeline's per-timestep regime.
+  const Matrix y_shift = random_matrix(48, 2, 3003);
+  auto finetune = fx.options("");
+  finetune.epochs = 3;
+  finetune.validation_fraction = 0.0;
+  const vf::nn::Trainer trainer(finetune);
+  std::vector<double> losses[3];
+  Network* nets[3] = {&original, &from_model, &from_ckpt};
+  for (int i = 0; i < 3; ++i) {
+    nets[i]->set_trainable_last_dense(2);
+    losses[i] = trainer.fit(*nets[i], fx.X, y_shift).train_loss;
+  }
+  EXPECT_EQ(losses[1], losses[0]);
+  EXPECT_EQ(losses[2], losses[0]);
+  EXPECT_TRUE(networks_bit_equal(from_model, original));
+  EXPECT_TRUE(networks_bit_equal(from_ckpt, original));
 }
 
 TEST_F(CheckpointTest, ResumeSkipsTornNewestCheckpoint) {

@@ -5,6 +5,7 @@
 // exactly as it was.
 
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -18,6 +19,7 @@
 
 #include "vf/util/atomic_io.hpp"
 #include "vf/util/fault.hpp"
+#include "vf/util/rng.hpp"
 
 namespace {
 
@@ -343,12 +345,81 @@ TEST_F(FaultTest, Crc32Chains) {
   EXPECT_EQ(vf::util::crc32("6789", 4, part), 0xCBF43926u);
 }
 
+/// Bit-at-a-time CRC-32 (IEEE, reflected polynomial 0xEDB88320), sharing
+/// nothing with the library's tables: a wrong slicing table would still
+/// round-trip the library's own files, but not match this.
+std::uint32_t crc32_reference(const unsigned char* bytes, std::size_t len,
+                              std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= bytes[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1u) : c >> 1u;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+  vf::util::Rng rng(seed);
+  std::vector<unsigned char> out(n);
+  for (auto& b : out) b = static_cast<unsigned char>(rng.below(256));
+  return out;
+}
+
+TEST_F(FaultTest, Crc32MatchesReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0-1024 cover the 16-byte step, every tail length, and both
+  // together; offsets 0-15 put the word loads at every alignment.
+  const auto buf = random_bytes(1024 + 16, 5);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      ASSERT_EQ(vf::util::crc32(buf.data() + offset, len),
+                crc32_reference(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST_F(FaultTest, Crc32MatchesReferenceOnAModelSizedBuffer) {
+  // About the size of one paper-width model's network section.
+  const auto buf = random_bytes(std::size_t{3} << 19, 6);
+  EXPECT_EQ(vf::util::crc32(buf.data(), buf.size()),
+            crc32_reference(buf.data(), buf.size()));
+}
+
+TEST_F(FaultTest, Crc32ChainsAcrossArbitrarySplits) {
+  const auto buf = random_bytes(4099, 7);
+  const std::uint32_t whole = crc32_reference(buf.data(), buf.size());
+  vf::util::Rng rng(8);
+  std::vector<std::size_t> cuts = {0, 1, 15, 16, 17, 31, 32, 33, 4098, 4099};
+  for (int i = 0; i < 64; ++i) cuts.push_back(rng.below(4100));
+  for (const std::size_t a : cuts) {
+    for (const std::size_t b : {a, (a + 4099) / 2, std::size_t{4099}}) {
+      // buf = [0, a) [a, b) [b, end), each part seeded by the one before.
+      std::uint32_t c = vf::util::crc32(buf.data(), a);
+      c = vf::util::crc32(buf.data() + a, b - a, c);
+      c = vf::util::crc32(buf.data() + b, buf.size() - b, c);
+      ASSERT_EQ(c, whole) << "split at " << a << " and " << b;
+    }
+  }
+  // A seed carried from the reference works the same way.
+  EXPECT_EQ(vf::util::crc32(buf.data() + 100, buf.size() - 100,
+                            crc32_reference(buf.data(), 100)),
+            whole);
+}
+
 TEST_F(FaultTest, CrcSectionRoundTrip) {
   std::ostringstream os;
   vf::util::write_crc_section(os, std::string("payload"));
   std::istringstream is(os.str());
   EXPECT_EQ(vf::util::read_crc_section(is, 1024, "test"), "payload");
   EXPECT_NO_THROW(vf::util::expect_eof(is, "test"));
+
+  // The in-memory reader parses the same framing, as a view.
+  const std::string blob = os.str();
+  vf::util::ByteReader r(blob, "test");
+  EXPECT_EQ(r.section(), "payload");
+  EXPECT_NO_THROW(r.expect_end());
 }
 
 TEST_F(FaultTest, CrcSectionRejectsOversizeBeforeAllocating) {
@@ -363,6 +434,8 @@ TEST_F(FaultTest, CrcSectionRejectsOversizeBeforeAllocating) {
   std::istringstream is(blob);
   EXPECT_THROW(vf::util::read_crc_section(is, blob.size(), "test"),
                std::runtime_error);
+  vf::util::ByteReader r(blob, "test");
+  EXPECT_THROW((void)r.section(), std::runtime_error);
 }
 
 TEST_F(FaultTest, CrcSectionRejectsEveryTruncation) {
@@ -370,9 +443,13 @@ TEST_F(FaultTest, CrcSectionRejectsEveryTruncation) {
   vf::util::write_crc_section(os, std::string("payload"));
   const std::string blob = os.str();
   for (std::size_t len = 0; len < blob.size(); ++len) {
-    std::istringstream is(blob.substr(0, len));
+    const std::string cut = blob.substr(0, len);
+    std::istringstream is(cut);
     EXPECT_THROW(vf::util::read_crc_section(is, len, "test"),
                  std::runtime_error)
+        << "truncated to " << len << " bytes";
+    vf::util::ByteReader r(cut, "test");
+    EXPECT_THROW((void)r.section(), std::runtime_error)
         << "truncated to " << len << " bytes";
   }
 }
@@ -388,6 +465,9 @@ TEST_F(FaultTest, CrcSectionRejectsEveryBitFlip) {
       std::istringstream is(bad);
       EXPECT_THROW(vf::util::read_crc_section(is, blob.size(), "test"),
                    std::runtime_error)
+          << "flip at byte " << byte << " bit " << bit;
+      vf::util::ByteReader r(bad, "test");
+      EXPECT_THROW((void)r.section(), std::runtime_error)
           << "flip at byte " << byte << " bit " << bit;
     }
   }
