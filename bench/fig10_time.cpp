@@ -1,6 +1,6 @@
 // Paper Fig 10 (a-c): reconstruction time vs sampling percentage.
-// Series: trained FCNN (feature extraction + batched forward pass — model
-// training excluded, as in the paper), Delaunay linear with walk hints
+// Series: trained FCNN (the tiled engine: feature extraction + forward
+// pass per tile — model training excluded, as in the paper), Delaunay linear with walk hints
 // ("linear", the paper's CGAL+OpenMP analogue), the naive cold-location
 // variant ("linear_naive", the paper's slow initial implementation),
 // natural neighbour, Shepard, nearest.
@@ -9,7 +9,6 @@
 // nearest.
 
 #include "common.hpp"
-#include "vf/core/batch_reconstruct.hpp"
 #include "vf/interp/methods.hpp"
 
 int main(int argc, char** argv) {
@@ -31,13 +30,11 @@ int main(int argc, char** argv) {
 
     auto pre = core::pretrain(truth, sampler, bench::bench_config());
     // vf-lint: allow(api-facade) benchmarks the engine directly
-    core::BatchReconstructor fcnn_stream(pre.model.clone());
-    // vf-lint: allow(api-facade) benchmarks the engine directly
     core::FcnnReconstructor fcnn(std::move(pre.model));
 
     bench::title("Fig 10 — reconstruction time [s] vs sampling % (" + name +
                  " " + truth.grid().describe() + ")");
-    std::vector<std::string> header = {"sampling", "fcnn", "fcnn_stream"};
+    std::vector<std::string> header = {"sampling", "fcnn"};
     header.insert(header.end(), methods.begin(), methods.end());
     bench::row(header);
 
@@ -48,10 +45,6 @@ int main(int argc, char** argv) {
       cells.push_back(bench::fmt(
           bench::timed([&] { out = fcnn.reconstruct(cloud, truth.grid()); }),
           3));
-      cells.push_back(bench::fmt(bench::timed([&] {
-                        out = fcnn_stream.reconstruct(cloud, truth.grid());
-                      }),
-                      3));
       for (const auto& m : methods) {
         auto rec = interp::make_reconstructor(m);
         cells.push_back(bench::fmt(

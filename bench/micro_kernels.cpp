@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include "common.hpp"
-#include "vf/core/batch_reconstruct.hpp"
 #include "vf/core/fcnn.hpp"
 #include "vf/geometry/delaunay.hpp"
 #include "vf/interp/methods.hpp"
@@ -220,34 +219,18 @@ vf::core::FcnnModel paper_arch_model() {
   return model;
 }
 
-// Whole-grid FCNN reconstruction (feature matrix materialised for every
-// void, batched predict) vs the streaming tiled path. items_per_second is
-// reconstructed grid points per second.
-void BM_FcnnReconstruct(benchmark::State& state) {
-  auto ds = vf::data::make_dataset("hurricane");
-  auto truth = ds->generate({48, 48, 12}, 24.0);
-  vf::sampling::ImportanceSampler sampler;
-  auto cloud = sampler.sample(truth, 0.02, 1);
-  // vf-lint: allow(api-facade) benchmarks the engine directly
-  vf::core::FcnnReconstructor rec(paper_arch_model());
-  for (auto _ : state) {
-    auto out = rec.reconstruct(cloud, truth.grid());
-    benchmark::DoNotOptimize(out.values().data());
-  }
-  state.SetItemsProcessed(state.iterations() * truth.size());
-}
-BENCHMARK(BM_FcnnReconstruct);
-
+// Whole-grid FCNN reconstruction by the tiled engine, swept over tile
+// sizes. items_per_second is reconstructed grid points per second.
 void BM_BatchReconstruct(benchmark::State& state) {
   auto ds = vf::data::make_dataset("hurricane");
   auto truth = ds->generate({48, 48, 12}, 24.0);
   vf::sampling::ImportanceSampler sampler;
   auto cloud = sampler.sample(truth, 0.02, 1);
   // vf-lint: allow(api-facade) benchmarks the engine directly
-  vf::core::BatchReconstructor rec(
+  vf::core::FcnnReconstructor rec(
       paper_arch_model(),
-      vf::core::ReconstructOptions{static_cast<std::size_t>(state.range(0)),
-                                   5});
+      vf::core::ReconstructOptions{
+          .tile_size = static_cast<std::size_t>(state.range(0))});
   for (auto _ : state) {
     auto out = rec.reconstruct(cloud, truth.grid());
     benchmark::DoNotOptimize(out.values().data());

@@ -1,8 +1,8 @@
 // perf_smoke — the CI perf-regression probe.
 //
 // Runs one small, fixed workload per performance-critical subsystem (GEMM,
-// fused dense layer, k-d tree build/query, feature extraction, streaming
-// and whole-grid reconstruction) and writes one vf::obs::BenchRecorder JSON
+// fused dense layer, k-d tree build/query, feature extraction, tiled grid
+// reconstruction) and writes one vf::obs::BenchRecorder JSON
 // record. The headline `metrics` map (throughputs, higher is better) is
 // what .github/workflows/perf.yml feeds to tools/compare_perf.py against
 // bench_baselines/ci_baseline.json.
@@ -23,7 +23,6 @@
 #include <thread>
 
 #include "vf/api/pipeline.hpp"
-#include "vf/core/batch_reconstruct.hpp"
 #include "vf/core/fcnn.hpp"
 #include "vf/data/registry.hpp"
 #include "vf/nn/kernels.hpp"
@@ -201,10 +200,10 @@ int main(int argc, char** argv) {
   }
 
   const auto points = static_cast<double>(truth.size());
-  {  // Streaming tiled reconstruction (the vfctl production path).
+  {  // Tiled grid reconstruction at 4096-point tiles, fp64.
     // vf-lint: allow(api-facade) benchmarks the engine directly
-    vf::core::BatchReconstructor brec(paper_arch_model(),
-                                      vf::core::ReconstructOptions{4096, 5});
+    vf::core::FcnnReconstructor brec(
+        paper_arch_model(), vf::core::ReconstructOptions{.tile_size = 4096});
     rec.set_metric("streaming_points_per_second",
                    run_phase(rec, "batch_reconstruct_48", points, repeat,
                              [&] {
@@ -213,9 +212,10 @@ int main(int argc, char** argv) {
                              }));
   }
 
-  {  // Whole-grid FCNN reconstruction, production fast path: grid-hash
-    // neighbour index (Auto resolves to it for the dense sweep) + fp16
-    // packed-GEMM inference. The SNR guardrail suite bounds its quality.
+  {  // Whole-grid FCNN reconstruction at the default tile, production fast
+    // path: grid-hash neighbour index (Auto resolves to it for the dense
+    // sweep) + fp16 packed-GEMM inference. The SNR guardrail suite bounds
+    // its quality.
     vf::core::ReconstructOptions fast;
     fast.quant = vf::nn::QuantPolicy::Fp16;
     // vf-lint: allow(api-facade) benchmarks the engine directly
@@ -228,8 +228,9 @@ int main(int argc, char** argv) {
                              }));
   }
 
-  {  // Whole-grid FCNN reconstruction, exact fp64 path (kept gated so the
-    // fast path can never silently replace a regressed exact path).
+  {  // Whole-grid FCNN reconstruction at the default tile, exact fp64 path
+    // (kept gated so the fast path can never silently replace a regressed
+    // exact path).
     // vf-lint: allow(api-facade) benchmarks the engine directly
     vf::core::FcnnReconstructor frec(paper_arch_model());
     rec.set_metric("fcnn_fp64_points_per_second",

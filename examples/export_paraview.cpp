@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   api::ReconstructRequest req;
   req.cloud = &cloud;
   req.grid = &truth.grid();
-  req.options.method = api::Method::Fcnn;
+  req.options.method = api::Method::FcnnStream;
   req.options.model = &pre.model;
   auto rec_fcnn = api::reconstruct(req).field;
   rec_fcnn.set_name(truth.name());

@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   pipe.start();  // t = 0: synchronous pretrain + first publish
   frozen = pipe.model()->clone();
   api::ReconstructOptions frozen_opts;
-  frozen_opts.method = api::Method::Fcnn;
+  frozen_opts.method = api::Method::FcnnStream;
   frozen_opts.model = &frozen;
   stale.emplace(frozen_opts);
   std::printf("t=0: pretrained, generation %llu published\n",

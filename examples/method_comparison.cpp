@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   auto pre = core::pretrain(truth, sampler, cfg);
   double train_s = timer.seconds();
   api::ReconstructOptions fcnn_opts;
-  fcnn_opts.method = api::Method::Fcnn;
+  fcnn_opts.method = api::Method::FcnnStream;
   fcnn_opts.model = &pre.model;
   api::Reconstructor fcnn(fcnn_opts);
 

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   // 4. Reconstruct the full grid from the sparse cloud, through the
   //    vf::api facade — the library's one front door for reconstruction.
   api::ReconstructOptions fcnn_opts;
-  fcnn_opts.method = api::Method::Fcnn;
+  fcnn_opts.method = api::Method::FcnnStream;
   fcnn_opts.model = &pretrained.model;
   auto recon = api::Reconstructor(fcnn_opts).reconstruct(cloud, truth.grid());
 

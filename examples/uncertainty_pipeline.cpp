@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   // model through the reconstruction facade.
   auto model = pipe.model();
   api::ReconstructOptions ropt;
-  ropt.method = api::Method::Fcnn;
+  ropt.method = api::Method::FcnnStream;
   ropt.model = model.get();
   api::Reconstructor rec(ropt);
   auto rec_imp = rec.reconstruct(cloud_imp, cur.grid()).field;

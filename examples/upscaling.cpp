@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
                   core::FineTuneMode::FullNetwork, 10);
   double finetune_s = timer.seconds();
   api::ReconstructOptions transfer_opts;
-  transfer_opts.method = api::Method::Fcnn;
+  transfer_opts.method = api::Method::FcnnStream;
   transfer_opts.model = &pre.model;
   api::Reconstructor transferred(transfer_opts);
 
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   auto pre_hi = core::pretrain(hi_truth, sampler, cfg);
   double full_hi_s = timer.seconds();
   api::ReconstructOptions scratch_opts;
-  scratch_opts.method = api::Method::Fcnn;
+  scratch_opts.method = api::Method::FcnnStream;
   scratch_opts.model = &pre_hi.model;
   api::Reconstructor from_scratch(scratch_opts);
 

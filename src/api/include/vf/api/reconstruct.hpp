@@ -1,20 +1,19 @@
 #pragma once
 // vf::api — the unified reconstruction facade.
 //
-// Callers used to hand-wire four different engine families with four
-// different signatures: FcnnReconstructor (full-matrix), BatchReconstructor
-// (streaming tiles), six classical interpolators behind vf::interp, and
-// reconstruct_resilient (never-throw degradation). This header is the one
-// front door: pick a Method, fill ReconstructOptions, and call either the
-// stateful Reconstructor (caches the loaded model, the scrubbed cloud's
-// k-d tree, and the chosen engine across calls — the serving layer's usage)
-// or the one-shot reconstruct(ReconstructRequest) convenience.
+// One front door over three engine families: the FCNN engine
+// (vf::core::FcnnReconstructor), six classical interpolators behind
+// vf::interp, and reconstruct_resilient (never-throw degradation). Pick a
+// Method, fill ReconstructOptions, and call either the stateful
+// Reconstructor (caches the loaded model, the bound cloud and the chosen
+// engine across calls) or the one-shot reconstruct(ReconstructRequest)
+// convenience.
 //
 // Two query shapes are supported:
 //   grid mode   — reconstruct a full ScalarField on a UniformGrid3
 //                 (every Method);
 //   point mode  — predict scalar values at arbitrary positions
-//                 (Fcnn/FcnnStream/Auto plus the Shepard and Nearest
+//                 (FcnnStream/Auto plus the Shepard and Nearest
 //                 estimators; the mesh-building interpolators are
 //                 grid-only and throw).
 
@@ -23,27 +22,22 @@
 #include <string>
 #include <vector>
 
-#include "vf/core/batch_reconstruct.hpp"
 #include "vf/core/fcnn.hpp"
+#include "vf/core/inference.hpp"
 #include "vf/core/model.hpp"
 #include "vf/core/options.hpp"
 #include "vf/core/report.hpp"
 #include "vf/core/resilient.hpp"
-#include "vf/core/features.hpp"
 #include "vf/field/scalar_field.hpp"
 #include "vf/interp/reconstructor.hpp"
-#include "vf/nn/network.hpp"
-#include "vf/nn/quant.hpp"
 #include "vf/sampling/sample_cloud.hpp"
-#include "vf/spatial/neighbor_index.hpp"
 
 namespace vf::api {
 
 /// Every reconstruction engine the repo offers, as one closed enum.
 enum class Method {
-  Auto,        ///< Fcnn stream when a model is configured, Shepard otherwise
-  Fcnn,        ///< trained FCNN, full-matrix path (FcnnReconstructor)
-  FcnnStream,  ///< trained FCNN, O(tile) streaming path (BatchReconstructor)
+  Auto,        ///< FcnnStream when a model is configured, Shepard otherwise
+  FcnnStream,  ///< trained FCNN, tiled engine (core::FcnnReconstructor)
   Nearest,
   Shepard,
   Linear,
@@ -52,7 +46,7 @@ enum class Method {
   Kriging,
 };
 
-/// Canonical name ("auto", "fcnn", "fcnn_stream", or the classical names).
+/// Canonical name ("auto", "fcnn_stream", or the classical names).
 [[nodiscard]] const char* to_string(Method m);
 
 /// Parse a canonical name back to the enum (throws std::invalid_argument).
@@ -61,7 +55,7 @@ enum class Method {
 struct ReconstructOptions {
   Method method = Method::Auto;
 
-  /// Model source for the FCNN methods: a borrowed, caller-owned model
+  /// Model source for the FCNN method: a borrowed, caller-owned model
   /// pointer wins over `model_path`; with only a path the model is loaded
   /// lazily on first use and cached. Classical methods ignore both.
   const vf::core::FcnnModel* model = nullptr;
@@ -73,7 +67,7 @@ struct ReconstructOptions {
   bool resilient = false;
   vf::core::FallbackMethod fallback = vf::core::FallbackMethod::Shepard;
 
-  /// Engine tuning forwarded to the concrete FCNN reconstructors.
+  /// Engine tuning forwarded to the FCNN engine.
   vf::core::ReconstructOptions engine;
 };
 
@@ -101,42 +95,16 @@ struct ReconstructRequest {
   ReconstructOptions options;
 };
 
-/// Reusable per-thread scratch for predict_points (feature matrix,
-/// activation ping-pong, SoA neighbour staging, quantized staging). One per
-/// worker thread.
-struct PointScratch {
-  vf::nn::Matrix X;
-  vf::nn::Matrix Y;
-  vf::nn::InferScratch infer;
-  vf::core::FeatureScratch features;
-  vf::nn::QuantScratch quant;
-};
+/// The FCNN point kernel, re-exported from vf::core (vf/core/inference.hpp)
+/// for callers that hold their own model and bound cloud.
+using vf::core::PointScratch;
+using vf::core::predict_points;
 
-/// Low-level point-prediction kernel shared by the facade's point mode and
-/// the vf::serve micro-batcher: features against a prebuilt neighbour index
-/// over the (already scrubbed) samples, normalisation, fused inference,
-/// scalar de-normalisation into `out`, and per-point Shepard repair of
-/// non-finite outputs. Returns the number of repaired (degraded) points;
-/// when `repaired_rows` is given the row index of every repair is appended
-/// to it (the micro-batcher slices these back onto individual requests).
-/// When `qnet` is non-null (and quantized), inference runs the packed
-/// single-precision GEMM instead of the fp64 Network path.
-/// Thread-safe for concurrent calls with distinct `scratch`/`out`;
-/// respects the caller's OpenMP context (call with a 1-thread ICV for
-/// serial serving).
-std::size_t predict_points(const vf::core::FcnnModel& model,
-                           const vf::spatial::NeighborIndex& index,
-                           const std::vector<double>& values,
-                           const vf::field::Vec3* points, std::size_t count,
-                           double* out, PointScratch& scratch,
-                           int repair_neighbors = 5,
-                           std::vector<std::size_t>* repaired_rows = nullptr,
-                           const vf::nn::QuantizedNetwork* qnet = nullptr);
-
-/// The stateful facade. Construction is cheap; the model load, the
-/// scrubbed-cloud k-d tree, and the concrete engine are created lazily and
-/// cached across calls. Not thread-safe (vf::serve layers its own
-/// synchronisation and per-worker scratch on top of predict_points).
+/// The stateful facade. Construction is cheap; the model load, the bound
+/// cloud and the engine are created lazily and cached across calls. Both
+/// query shapes share one model copy and one FCNN engine. Not thread-safe
+/// (vf::serve layers its own synchronisation and per-worker scratch on top
+/// of predict_points).
 class Reconstructor {
  public:
   explicit Reconstructor(ReconstructOptions options = {});
@@ -152,12 +120,9 @@ class Reconstructor {
       const vf::field::UniformGrid3& grid);
 
   /// Point mode: predict values at arbitrary positions
-  /// (Auto/Fcnn/FcnnStream/Shepard/Nearest; mesh interpolators throw).
-  /// The scrubbed cloud and its k-d tree are cached between calls, keyed
-  /// on the cloud's points/values buffer addresses and size (the core
-  /// engines' binding convention). Mutating a bound cloud's coordinates
-  /// or values IN PLACE between calls is not detected — pass a freshly
-  /// allocated cloud to rebind.
+  /// (Auto/FcnnStream/Shepard/Nearest; mesh interpolators throw). The
+  /// scrubbed cloud and its index are cached between calls, keyed on the
+  /// cloud's id (see core::BoundCloud).
   [[nodiscard]] ReconstructResult reconstruct_points(
       const vf::sampling::SampleCloud& cloud,
       const std::vector<vf::field::Vec3>& points);

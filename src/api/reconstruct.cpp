@@ -1,6 +1,5 @@
 #include "vf/api/reconstruct.hpp"
 
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -18,7 +17,6 @@ using vf::sampling::SampleCloud;
 const char* to_string(Method m) {
   switch (m) {
     case Method::Auto: return "auto";
-    case Method::Fcnn: return "fcnn";
     case Method::FcnnStream: return "fcnn_stream";
     case Method::Nearest: return "nearest";
     case Method::Shepard: return "shepard";
@@ -31,9 +29,9 @@ const char* to_string(Method m) {
 }
 
 Method method_from_name(const std::string& name) {
-  for (Method m : {Method::Auto, Method::Fcnn, Method::FcnnStream,
-                   Method::Nearest, Method::Shepard, Method::Linear,
-                   Method::Natural, Method::Rbf, Method::Kriging}) {
+  for (Method m : {Method::Auto, Method::FcnnStream, Method::Nearest,
+                   Method::Shepard, Method::Linear, Method::Natural,
+                   Method::Rbf, Method::Kriging}) {
     if (name == to_string(m)) return m;
   }
   throw std::invalid_argument("vf::api: unknown method '" + name + "'");
@@ -54,71 +52,46 @@ vf::interp::Method interp_method(Method m) {
   }
 }
 
-bool is_fcnn(Method m) {
-  return m == Method::Fcnn || m == Method::FcnnStream;
+/// Resolve Auto against the configured model source.
+Method resolve(const ReconstructOptions& o) {
+  if (o.method != Method::Auto) return o.method;
+  return (o.model != nullptr || !o.model_path.empty()) ? Method::FcnnStream
+                                                       : Method::Shepard;
+}
+
+/// The facade's FCNN engine, created on first use from the configured
+/// model source.
+vf::core::FcnnReconstructor& fcnn_engine(
+    std::unique_ptr<vf::core::FcnnReconstructor>& engine,
+    const ReconstructOptions& o) {
+  if (!engine) {
+    FcnnModel model;
+    if (o.model != nullptr) {
+      model = o.model->clone();
+    } else if (!o.model_path.empty()) {
+      model = FcnnModel::load(o.model_path);
+    } else {
+      throw std::invalid_argument(
+          "vf::api::Reconstructor: FCNN method needs a model or model_path");
+    }
+    engine = std::make_unique<vf::core::FcnnReconstructor>(std::move(model),
+                                                           o.engine);
+  }
+  return *engine;
 }
 
 }  // namespace
 
-std::size_t predict_points(const FcnnModel& model,
-                           const vf::spatial::NeighborIndex& index,
-                           const std::vector<double>& values,
-                           const Vec3* points, std::size_t count, double* out,
-                           PointScratch& scratch, int repair_neighbors,
-                           std::vector<std::size_t>* repaired_rows,
-                           const vf::nn::QuantizedNetwork* qnet) {
-  if (count == 0) return 0;
-  vf::core::extract_features_into(index, values, points, count, scratch.X,
-                                  scratch.features);
-  model.in_norm.apply(scratch.X);
-  if (qnet != nullptr && !qnet->empty()) {
-    qnet->infer(scratch.X, scratch.Y, scratch.quant);
-  } else {
-    model.net.infer(scratch.X, scratch.Y, scratch.infer);
-  }
-  const double scale = model.out_norm.stddev[0];
-  const double shift = model.out_norm.mean[0];
-  std::size_t degraded = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const double y = scratch.Y(i, 0) * scale + shift;
-    if (std::isfinite(y)) {
-      out[i] = y;
-    } else {
-      out[i] = vf::core::shepard_estimate(index, values, points[i],
-                                          repair_neighbors);
-      ++degraded;
-      if (repaired_rows != nullptr) repaired_rows->push_back(i);
-    }
-  }
-  return degraded;
-}
-
 struct Reconstructor::Impl {
-  /// Owned copy of the model once resolved (loaded from disk, or cloned
-  /// from the borrowed pointer so later engine construction can't dangle).
-  FcnnModel model;
-  bool model_ready = false;
+  /// The one FCNN engine, holding the one model copy (loaded from disk or
+  /// cloned from the borrowed pointer so it cannot dangle). Serves both
+  /// query shapes and owns their bound cloud.
+  std::unique_ptr<vf::core::FcnnReconstructor> fcnn;
 
-  std::unique_ptr<vf::core::BatchReconstructor> stream;
-  std::unique_ptr<vf::core::FcnnReconstructor> full;
   std::unique_ptr<vf::interp::Reconstructor> classical;
   vf::interp::Method classical_method{};
-
-  /// Point-mode cache: scrubbed cloud + neighbour index, keyed like the
-  /// core engines on the source cloud's buffer identity.
-  SampleCloud bound;
-  std::unique_ptr<vf::spatial::NeighborIndex> index;
-  vf::spatial::IndexKind bound_kind = vf::spatial::IndexKind::Auto;
-  const void* cloud_key = nullptr;
-  const void* values_key = nullptr;
-  std::size_t cloud_count = 0;
-  std::size_t scrub_nonfinite = 0;
-  std::size_t scrub_duplicates = 0;
-  PointScratch scratch;
-
-  /// Quantized copy of the resolved model for the point-mode fast path,
-  /// built lazily on first use when engine options ask for it.
-  vf::nn::QuantizedNetwork qnet;
+  /// Bound cloud for the classical point estimators.
+  vf::core::BoundCloud bound;
 };
 
 Reconstructor::Reconstructor(ReconstructOptions options)
@@ -129,30 +102,8 @@ Reconstructor::Reconstructor(Reconstructor&&) noexcept = default;
 Reconstructor& Reconstructor::operator=(Reconstructor&&) noexcept = default;
 
 const FcnnModel& Reconstructor::model() {
-  if (!impl_->model_ready) {
-    if (options_.model != nullptr) {
-      impl_->model = options_.model->clone();
-    } else if (!options_.model_path.empty()) {
-      impl_->model = FcnnModel::load(options_.model_path);
-    } else {
-      throw std::invalid_argument(
-          "vf::api::Reconstructor: FCNN method needs a model or model_path");
-    }
-    impl_->model_ready = true;
-  }
-  return impl_->model;
+  return fcnn_engine(impl_->fcnn, options_).model();
 }
-
-namespace {
-
-/// Resolve Auto against the configured model source.
-Method resolve(const ReconstructOptions& o) {
-  if (o.method != Method::Auto) return o.method;
-  return (o.model != nullptr || !o.model_path.empty()) ? Method::FcnnStream
-                                                       : Method::Shepard;
-}
-
-}  // namespace
 
 ReconstructResult Reconstructor::reconstruct(const SampleCloud& cloud,
                                              const UniformGrid3& grid) {
@@ -170,19 +121,9 @@ ReconstructResult Reconstructor::reconstruct(const SampleCloud& cloud,
         options_.model_path, cloud, grid, result.report, options_.fallback,
         options_.engine);
     result.stats.method = "resilient";
-  } else if (method == Method::Fcnn) {
-    if (!impl_->full) {
-      impl_->full = std::make_unique<vf::core::FcnnReconstructor>(
-          model().clone(), options_.engine);
-    }
-    result.field = impl_->full->reconstruct(cloud, grid, result.report);
-    result.stats.method = to_string(method);
   } else if (method == Method::FcnnStream) {
-    if (!impl_->stream) {
-      impl_->stream = std::make_unique<vf::core::BatchReconstructor>(
-          model().clone(), options_.engine);
-    }
-    result.field = impl_->stream->reconstruct(cloud, grid, result.report);
+    result.field = fcnn_engine(impl_->fcnn, options_)
+                       .reconstruct(cloud, grid, result.report);
     result.stats.method = to_string(method);
   } else {
     const auto im = interp_method(method);
@@ -207,75 +148,29 @@ ReconstructResult Reconstructor::reconstruct_points(
   VF_OBS_SPAN("api/reconstruct_points");
   vf::util::Timer timer;  // vf-lint: allow(raw-timer) feeds ReconstructStats
   const Method method = resolve(options_);
-  if (!is_fcnn(method) && method != Method::Shepard &&
+  if (method != Method::FcnnStream && method != Method::Shepard &&
       method != Method::Nearest) {
     throw std::invalid_argument(
-        std::string("vf::api: point queries support fcnn/fcnn_stream/"
-                    "shepard/nearest, not ") +
+        std::string("vf::api: point queries support fcnn_stream/shepard/"
+                    "nearest, not ") +
         to_string(method));
   }
 
   ReconstructResult result;
-  result.report.input_points = cloud.size();
-
-  // Bind the cloud: scrub once, build the index once, reuse across calls.
-  // Keyed on both buffer addresses + size so a different cloud reusing
-  // the points allocation still rebinds; in-place mutation of a bound
-  // cloud stays undetected (documented on reconstruct_points). The index
-  // kind follows engine options; Auto resolves against this call's query
-  // count and rebinds only when the selection flips.
-  const void* key = static_cast<const void*>(cloud.points().data());
-  const void* vkey = static_cast<const void*>(cloud.values().data());
-  const bool same_cloud = key == impl_->cloud_key &&
-                          vkey == impl_->values_key &&
-                          cloud.size() == impl_->cloud_count;
-  vf::spatial::IndexKind want = options_.engine.index;
-  if (want == vf::spatial::IndexKind::Auto) {
-    want = vf::spatial::select_index_kind(
-        same_cloud ? impl_->bound.size() : cloud.size(), points.size());
-  }
-  if (!same_cloud || want != impl_->bound_kind || !impl_->index) {
-    VF_OBS_SPAN("tree_build");
-    if (!same_cloud) {
-      impl_->bound =
-          cloud.scrubbed(impl_->scrub_nonfinite, impl_->scrub_duplicates);
-    }
-    impl_->index = vf::spatial::build_index(impl_->bound.points(), want,
-                                            points.size());
-    impl_->bound_kind = want;
-    impl_->cloud_key = key;
-    impl_->values_key = vkey;
-    impl_->cloud_count = cloud.size();
-  }
-  result.report.scrubbed_nonfinite = impl_->scrub_nonfinite;
-  result.report.scrubbed_duplicates = impl_->scrub_duplicates;
-  const auto& values = impl_->bound.values();
-
-  result.values.resize(points.size());
-  if (is_fcnn(method)) {
-    const vf::nn::QuantizedNetwork* qnet = nullptr;
-    if (options_.engine.quant != vf::nn::QuantPolicy::None) {
-      if (impl_->qnet.empty()) {
-        impl_->qnet =
-            vf::nn::QuantizedNetwork(model().net, options_.engine.quant);
-      }
-      qnet = &impl_->qnet;
-    }
-    const std::size_t degraded = predict_points(
-        model(), *impl_->index, values, points.data(), points.size(),
-        result.values.data(), impl_->scratch,
-        options_.engine.repair_neighbors, nullptr, qnet);
-    result.report.predicted_points = points.size() - degraded;
-    result.report.degraded_points = degraded;
-    if (degraded > 0) {
-      result.report.fallback = vf::core::FallbackReason::NonFiniteOutput;
-      result.report.detail = "network produced non-finite outputs";
-    }
+  if (method == Method::FcnnStream) {
+    result.values = fcnn_engine(impl_->fcnn, options_)
+                        .reconstruct_points(cloud, points, result.report);
   } else {
+    // The index kind follows engine options; Auto resolves against this
+    // call's query count.
+    auto& bound = impl_->bound;
+    bound.bind(cloud, options_.engine.index, points.size());
+    result.report = bound.report();
     const int k = method == Method::Nearest ? 1 : vf::core::kNeighbors;
+    result.values.resize(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
-      result.values[i] =
-          vf::core::shepard_estimate(*impl_->index, values, points[i], k);
+      result.values[i] = vf::core::shepard_estimate(
+          bound.index(), bound.values(), points[i], k);
     }
     result.report.predicted_points = points.size();
   }

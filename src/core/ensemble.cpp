@@ -56,9 +56,14 @@ EnsembleResult EnsembleReconstructor::reconstruct(const SampleCloud& cloud,
   std::vector<double> sum(static_cast<std::size_t>(n), 0.0);
   std::vector<double> sumsq(static_cast<std::size_t>(n), 0.0);
 
+  // One scrub and index for every member.
+  BoundCloud bound;
+  bound.bind(cloud, vf::spatial::IndexKind::Auto,
+             static_cast<std::size_t>(n));
   for (auto& model : members_) {
     FcnnReconstructor rec(model.clone());
-    auto field = rec.reconstruct(cloud, grid);
+    ReconstructReport report;
+    auto field = rec.reconstruct(bound, grid, report);
     for (std::int64_t i = 0; i < n; ++i) {
       sum[static_cast<std::size_t>(i)] += field[i];
       sumsq[static_cast<std::size_t>(i)] += field[i] * field[i];

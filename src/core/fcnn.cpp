@@ -5,10 +5,8 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "vf/core/resilient.hpp"
 #include "vf/obs/obs.hpp"
 #include "vf/util/env.hpp"
-#include "vf/util/parallel.hpp"
 #include "vf/util/rng.hpp"
 #include "vf/util/timer.hpp"
 
@@ -16,6 +14,7 @@ namespace vf::core {
 
 using vf::field::ScalarField;
 using vf::field::UniformGrid3;
+using vf::field::Vec3;
 using vf::nn::Matrix;
 using vf::sampling::SampleCloud;
 using vf::sampling::Sampler;
@@ -224,94 +223,117 @@ vf::nn::TrainHistory fine_tune(FcnnModel& model, const ScalarField& truth,
   return history;
 }
 
+namespace {
+
+/// Per-thread working set for one tile: the tile's query positions and
+/// answers plus the kernel scratch. Buffers grow to tile size on the first
+/// tile a thread takes and are reused for every tile after.
+struct TileScratch {
+  std::vector<Vec3> queries;
+  std::vector<double> values;
+  PointScratch kernel;
+
+  [[nodiscard]] std::size_t element_count() const {
+    // Vec3 counts as 3 doubles.
+    return 3 * queries.capacity() + values.capacity() +
+           kernel.element_count();
+  }
+};
+
+void require_stencil(const BoundCloud& bound) {
+  if (bound.size() < static_cast<std::size_t>(kNeighbors)) {
+    throw std::invalid_argument("FcnnReconstructor: cloud smaller than k");
+  }
+}
+
+/// Pin the sampled grid points of `field` to their stored values when
+/// `cloud` was sampled from the field's grid; returns whether it was.
+bool pin_samples(const SampleCloud& cloud, ScalarField& field) {
+  if (!cloud.has_grid() || !(cloud.grid() == field.grid())) return false;
+  const auto& kept = cloud.kept_indices();
+  const auto& vals = cloud.values();
+  for (std::size_t i = 0; i < kept.size(); ++i) field[kept[i]] = vals[i];
+  return true;
+}
+
+/// Fill the outcome fields of `report` for `total` predicted points of
+/// which `degraded` were repaired.
+void account(ReconstructReport& report, std::size_t total,
+             std::size_t degraded) {
+  report.predicted_points = total - degraded;
+  report.degraded_points = degraded;
+  if (degraded > 0) {
+    report.fallback = FallbackReason::NonFiniteOutput;
+    report.detail = "network produced non-finite outputs";
+  }
+  VF_OBS_COUNT("core.reconstruct.predicted_points", report.predicted_points);
+  VF_OBS_COUNT("core.reconstruct.repaired_points", report.degraded_points);
+}
+
+}  // namespace
+
 FcnnReconstructor::FcnnReconstructor(FcnnModel model,
                                      const ReconstructOptions& opts)
     : model_(std::move(model)), opts_(opts) {
+  opts_.tile_size = std::max<std::size_t>(1, opts_.tile_size);
+  opts_.repair_neighbors = std::max(1, opts_.repair_neighbors);
+  if (model_.out_norm.mean.empty() || model_.in_norm.mean.empty()) {
+    throw std::invalid_argument(
+        "FcnnReconstructor: model is missing normalisation constants");
+  }
   if (opts_.quant != vf::nn::QuantPolicy::None) {
-    // Quantize once; every reconstruct shares the immutable packed weights.
+    // Quantize once; every tile shares the immutable packed weights.
     qnet_ = vf::nn::QuantizedNetwork(model_.net, opts_.quant);
   }
 }
 
-const vf::spatial::NeighborIndex& FcnnReconstructor::bound_index(
-    const SampleCloud& cloud, std::size_t expected_queries) {
-  const void* key = static_cast<const void*>(cloud.points().data());
-  const bool same_cloud = key == tree_key_ && cloud.size() == tree_count_;
-  vf::spatial::IndexKind want = opts_.index;
-  if (want == vf::spatial::IndexKind::Auto) {
-    want = vf::spatial::select_index_kind(
-        same_cloud ? bound_.size() : cloud.size(), expected_queries);
-  }
-  if (!same_cloud || want != bound_kind_ || !index_) {
-    VF_OBS_SPAN("tree_build");
-    VF_OBS_COUNT("core.reconstruct.tree_builds", 1);
-    if (!same_cloud) {
-      // Scrub once per bound cloud: the scrubbed copy is what the index,
-      // the feature queries, and the value pinning all see.
-      bound_ = cloud.scrubbed(scrub_nonfinite_, scrub_duplicates_);
-    }
-    index_ =
-        vf::spatial::build_index(bound_.points(), want, expected_queries);
-    bound_kind_ = want;
-    tree_key_ = key;
-    tree_count_ = cloud.size();
-  }
-  return *index_;
-}
-
-Matrix FcnnReconstructor::predict(Matrix X) {
-  if (opts_.quant == vf::nn::QuantPolicy::None) return model_.predict(X);
-  model_.in_norm.apply(X);
-  Matrix Y;
-  vf::nn::QuantScratch scratch;
-  qnet_.infer(X, Y, scratch);  // streams rows in cache-sized chunks
-  model_.out_norm.invert(Y);
-  return Y;
-}
-
-FcnnReconstructor::FullReconstruction
-FcnnReconstructor::reconstruct_with_gradients(const SampleCloud& cloud,
-                                              const UniformGrid3& grid) {
-  if (!model_.with_gradients) {
-    throw std::logic_error(
-        "reconstruct_with_gradients: model has scalar-only outputs");
-  }
-  VF_OBS_SPAN("fcnn_reconstruct");
-  FullReconstruction out{
-      ScalarField(grid, "fcnn"),
-      {ScalarField(grid, "fcnn_dx"), ScalarField(grid, "fcnn_dy"),
-       ScalarField(grid, "fcnn_dz")}};
-
-  // Predict all four outputs at every grid point, then pin sampled points'
-  // scalars to their stored values when the grids match.
-  std::vector<std::int64_t> all(static_cast<std::size_t>(grid.point_count()));
-  std::iota(all.begin(), all.end(), 0);
-  const auto& index =
-      bound_index(cloud, static_cast<std::size_t>(grid.point_count()));
-  Matrix X, Y;
+template <typename Emit>
+std::size_t FcnnReconstructor::run_tiles(const BoundCloud& bound,
+                                         const UniformGrid3& grid,
+                                         const std::int64_t* idx,
+                                         std::int64_t n, Emit emit) {
+  const auto tile = static_cast<std::int64_t>(opts_.tile_size);
+  const std::int64_t tiles = (n + tile - 1) / tile;
+  std::size_t degraded = 0;
+  std::size_t peak = 0;
+  // vf-par: per-thread-scratch — TileScratch is thread-local; tiles emit
+  // disjoint grid indices; degraded is a reduction and the peak merge is
+  // inside omp critical.
+#pragma omp parallel reduction(+ : degraded)
   {
-    VF_OBS_SPAN("extract_features");
-    X = grid_features(index, bound_.values(), grid, all);
-  }
-  {
-    VF_OBS_SPAN("inference");
-    Y = predict(std::move(X));
-  }
-  vf::util::parallel_for(0, grid.point_count(), [&](std::int64_t i) {
-    auto r = static_cast<std::size_t>(i);
-    out.scalar[i] = Y(r, 0);
-    out.gradient.dx[i] = Y(r, 1);
-    out.gradient.dy[i] = Y(r, 2);
-    out.gradient.dz[i] = Y(r, 3);
-  });
-  if (bound_.has_grid() && bound_.grid() == grid) {
-    const auto& kept = bound_.kept_indices();
-    const auto& vals = bound_.values();
-    for (std::size_t i = 0; i < kept.size(); ++i) {
-      out.scalar[kept[i]] = vals[i];
+    TileScratch ts;
+    std::size_t local_peak = 0;
+#pragma omp for schedule(dynamic)
+    for (std::int64_t t = 0; t < tiles; ++t) {
+      // Span buffers are thread-local, so instrumenting inside the omp
+      // region is race-free; worker-thread spans aggregate by path.
+      VF_OBS_HIST_TIMER("core.reconstruct.tile_seconds");
+      const std::int64_t b = t * tile;
+      const auto count = static_cast<std::size_t>(std::min(n, b + tile) - b);
+      ts.queries.resize(count);
+      ts.values.resize(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        const auto g = b + static_cast<std::int64_t>(i);
+        ts.queries[i] = grid.position(idx ? idx[g] : g);
+      }
+      // Inside this parallel region the kernel's own OpenMP regions
+      // serialise (nested parallelism is off), so each tile is one
+      // thread's sequential pipeline.
+      degraded += predict_points(model_, bound.index(), bound.values(),
+                                 ts.queries.data(), count, ts.values.data(),
+                                 ts.kernel, opts_.repair_neighbors, nullptr,
+                                 &qnet_);
+      for (std::size_t i = 0; i < count; ++i) {
+        const auto g = b + static_cast<std::int64_t>(i);
+        emit(idx ? idx[g] : g, ts.values[i], ts.kernel.Y, i);
+      }
+      local_peak = std::max(local_peak, ts.element_count());
     }
+#pragma omp critical
+    peak = std::max(peak, local_peak);
   }
-  return out;
+  peak_scratch_elements_ = std::max(peak_scratch_elements_, peak);
+  return degraded;
 }
 
 ScalarField FcnnReconstructor::reconstruct(const SampleCloud& cloud,
@@ -323,77 +345,80 @@ ScalarField FcnnReconstructor::reconstruct(const SampleCloud& cloud,
 ScalarField FcnnReconstructor::reconstruct(const SampleCloud& cloud,
                                            const UniformGrid3& grid,
                                            ReconstructReport& report) {
-  report = ReconstructReport{};
-  report.input_points = cloud.size();
+  // The engine sweeps (nearly) every grid point, so the grid size is the
+  // query count the index selection sees.
+  bound_.bind(cloud, opts_.index, static_cast<std::size_t>(grid.point_count()));
+  return reconstruct(bound_, grid, report);
+}
+
+ScalarField FcnnReconstructor::reconstruct(const BoundCloud& bound,
+                                           const UniformGrid3& grid,
+                                           ReconstructReport& report) {
   VF_OBS_SPAN("fcnn_reconstruct");
   VF_OBS_COUNT("core.reconstruct.calls", 1);
-  const auto& index =
-      bound_index(cloud, static_cast<std::size_t>(grid.point_count()));
-  report.scrubbed_nonfinite = scrub_nonfinite_;
-  report.scrubbed_duplicates = scrub_duplicates_;
+  require_stencil(bound);
+  report = bound.report();
 
   ScalarField out(grid, "fcnn");
-  const bool same_grid = bound_.has_grid() && bound_.grid() == grid;
-
-  // Write Y's scalar column to the targeted indices, replacing any
-  // non-finite prediction with a Shepard estimate from the scrubbed
-  // samples; the repair is accounted as a degraded point.
-  auto write_scalar = [&](const std::vector<std::int64_t>& targets,
-                          const Matrix& Y) {
-    vf::util::parallel_for(
-        0, static_cast<std::int64_t>(targets.size()), [&](std::int64_t i) {
-          out[targets[static_cast<std::size_t>(i)]] =
-              Y(static_cast<std::size_t>(i), 0);
-        });
-    std::size_t degraded = 0;
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      if (std::isfinite(Y(i, 0))) continue;
-      out[targets[i]] = shepard_estimate(index, bound_.values(),
-                                         grid.position(targets[i]),
-                                         opts_.repair_neighbors);
-      ++degraded;
-    }
-    report.predicted_points += targets.size() - degraded;
-    report.degraded_points += degraded;
-  };
-
+  // Prediction targets: the voids when the grids match (sampled points
+  // keep their stored values), every grid point otherwise.
+  const bool same_grid = pin_samples(bound.cloud(), out);
+  std::vector<std::int64_t> voids;
+  std::int64_t n = grid.point_count();
   if (same_grid) {
-    // Sampled points keep their stored values; only voids are predicted.
-    auto voids = bound_.void_indices();
-    Matrix X, Y;
-    {
-      VF_OBS_SPAN("extract_features");
-      X = grid_features(index, bound_.values(), grid, voids);
-    }
-    {
-      VF_OBS_SPAN("inference");
-      Y = predict(std::move(X));
-    }
-    const auto& kept = bound_.kept_indices();
-    const auto& vals = bound_.values();
-    for (std::size_t i = 0; i < kept.size(); ++i) out[kept[i]] = vals[i];
-    write_scalar(voids, Y);
-  } else {
-    // Foreign grid (e.g. upscaling): predict everywhere.
-    std::vector<std::int64_t> all(static_cast<std::size_t>(grid.point_count()));
-    std::iota(all.begin(), all.end(), 0);
-    Matrix X, Y;
-    {
-      VF_OBS_SPAN("extract_features");
-      X = grid_features(index, bound_.values(), grid, all);
-    }
-    {
-      VF_OBS_SPAN("inference");
-      Y = predict(std::move(X));
-    }
-    write_scalar(all, Y);
+    voids = bound.cloud().void_indices();
+    n = static_cast<std::int64_t>(voids.size());
   }
-  if (report.degraded_points > 0) {
-    report.fallback = FallbackReason::NonFiniteOutput;
-    report.detail = "network produced non-finite outputs";
+  const std::size_t degraded =
+      run_tiles(bound, grid, same_grid ? voids.data() : nullptr, n,
+                [&](std::int64_t target, double value, const Matrix&,
+                    std::size_t) { out[target] = value; });
+  account(report, static_cast<std::size_t>(n), degraded);
+  return out;
+}
+
+std::vector<double> FcnnReconstructor::reconstruct_points(
+    const SampleCloud& cloud, const std::vector<Vec3>& points,
+    ReconstructReport& report) {
+  bound_.bind(cloud, opts_.index, points.size());
+  require_stencil(bound_);
+  report = bound_.report();
+  std::vector<double> out(points.size());
+  const std::size_t degraded = predict_points(
+      model_, bound_.index(), bound_.values(), points.data(), points.size(),
+      out.data(), point_scratch_, opts_.repair_neighbors, nullptr, &qnet_);
+  account(report, points.size(), degraded);
+  return out;
+}
+
+FcnnReconstructor::FullReconstruction
+FcnnReconstructor::reconstruct_with_gradients(const SampleCloud& cloud,
+                                              const UniformGrid3& grid) {
+  if (!model_.with_gradients) {
+    throw std::logic_error(
+        "reconstruct_with_gradients: model has scalar-only outputs");
   }
-  VF_OBS_COUNT("core.reconstruct.predicted_points", report.predicted_points);
-  VF_OBS_COUNT("core.reconstruct.repaired_points", report.degraded_points);
+  bound_.bind(cloud, opts_.index, static_cast<std::size_t>(grid.point_count()));
+  require_stencil(bound_);
+  VF_OBS_SPAN("fcnn_reconstruct");
+  FullReconstruction out{
+      ScalarField(grid, "fcnn"),
+      {ScalarField(grid, "fcnn_dx"), ScalarField(grid, "fcnn_dy"),
+       ScalarField(grid, "fcnn_dz")}};
+
+  // Predict all four outputs at every grid point; the gradient columns are
+  // de-normalised from the same tiles' network outputs.
+  const auto& mean = model_.out_norm.mean;
+  const auto& sd = model_.out_norm.stddev;
+  (void)run_tiles(bound_, grid, nullptr, grid.point_count(),
+                  [&](std::int64_t target, double value, const Matrix& Y,
+                      std::size_t row) {
+                    out.scalar[target] = value;
+                    out.gradient.dx[target] = Y(row, 1) * sd[1] + mean[1];
+                    out.gradient.dy[target] = Y(row, 2) * sd[2] + mean[2];
+                    out.gradient.dz[target] = Y(row, 3) * sd[3] + mean[3];
+                  });
+  pin_samples(bound_.cloud(), out.scalar);
   return out;
 }
 

@@ -198,38 +198,6 @@ Matrix extract_features(const FeatureRequest& req) {
   return X;
 }
 
-// Deprecated shims: each forwards straight to the FeatureRequest entry.
-// (Defining a deprecated function is not itself a use, so these compile
-// clean under -Werror; only external callers get the warning.)
-
-Matrix extract_features(const vf::spatial::KdTree& tree,
-                        const std::vector<double>& values,
-                        const std::vector<Vec3>& queries) {
-  FeatureRequest req;
-  req.tree = &tree;
-  req.values = &values;
-  req.points = &queries;
-  return extract_features(req);
-}
-
-Matrix extract_features(const vf::sampling::SampleCloud& cloud,
-                        const std::vector<Vec3>& queries) {
-  FeatureRequest req;
-  req.cloud = &cloud;
-  req.points = &queries;
-  return extract_features(req);
-}
-
-Matrix extract_features(const vf::sampling::SampleCloud& cloud,
-                        const vf::field::UniformGrid3& grid,
-                        const std::vector<std::int64_t>& indices) {
-  FeatureRequest req;
-  req.cloud = &cloud;
-  req.grid = &grid;
-  req.indices = &indices;
-  return extract_features(req);
-}
-
 Matrix extract_targets(const vf::field::ScalarField& truth,
                        const std::vector<std::int64_t>& indices,
                        bool with_gradients) {

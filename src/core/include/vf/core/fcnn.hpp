@@ -10,21 +10,21 @@
 //                  Case 1 retrains every layer for ~10 epochs; Case 2
 //                  retrains only the last two dense layers (~300-500 epochs)
 //                  so later timesteps can be stored as small weight deltas.
-//   FcnnReconstructor — once trained, reconstruction is a batched forward
+//   FcnnReconstructor — once trained, reconstruction is a tiled forward
 //                  pass over all void locations: constant time in the
 //                  sampling fraction (paper Fig 10).
 
 #include <cstdint>
-#include <memory>
+#include <string>
 #include <vector>
 
+#include "vf/core/inference.hpp"
 #include "vf/core/model.hpp"
 #include "vf/core/options.hpp"
 #include "vf/core/report.hpp"
 #include "vf/nn/quant.hpp"
 #include "vf/nn/trainer.hpp"
 #include "vf/sampling/samplers.hpp"
-#include "vf/spatial/neighbor_index.hpp"
 
 namespace vf::core {
 
@@ -106,10 +106,16 @@ vf::nn::TrainHistory fine_tune(FcnnModel& model,
                                const FcnnConfig& config, FineTuneMode mode,
                                int epochs, bool refit_normalization = false);
 
-/// Reconstruct a full grid from a sample cloud with a trained model.
-/// When the cloud was sampled from the same grid, sampled points keep their
-/// exact stored values and only void locations are predicted; otherwise
-/// (e.g. upscaling onto a finer grid) every grid point is predicted.
+/// The FCNN grid engine: reconstructs a full grid from a sample cloud with
+/// a trained model. When the cloud was sampled from the same grid, sampled
+/// points keep their exact stored values and only void locations are
+/// predicted; otherwise (e.g. upscaling onto a finer grid) every grid point
+/// is predicted. Grid points stream through predict_points `tile_size` at a
+/// time, one tile per OpenMP thread on per-thread scratch, so memory is
+/// O(tile) rather than O(grid) — the paper's in-situ setting shares the
+/// node with the running simulation. The bound cloud is cached across
+/// calls (see BoundCloud), and ReconstructOptions::quant quantizes the
+/// model once at construction.
 class FcnnReconstructor {
  public:
   explicit FcnnReconstructor(FcnnModel model,
@@ -130,6 +136,20 @@ class FcnnReconstructor {
       const vf::sampling::SampleCloud& cloud,
       const vf::field::UniformGrid3& grid, ReconstructReport& report);
 
+  /// As above over a cloud the caller has bound (several engines sharing
+  /// one scrub and index, or a caller that inspects the scrubbed cloud
+  /// first). Throws std::invalid_argument when fewer samples than the
+  /// feature stencil survived scrubbing.
+  [[nodiscard]] vf::field::ScalarField reconstruct(
+      const BoundCloud& bound, const vf::field::UniformGrid3& grid,
+      ReconstructReport& report);
+
+  /// Point mode: the scalar at arbitrary positions, with the same scrub,
+  /// repair and accounting as the grid overloads.
+  [[nodiscard]] std::vector<double> reconstruct_points(
+      const vf::sampling::SampleCloud& cloud,
+      const std::vector<vf::field::Vec3>& points, ReconstructReport& report);
+
   /// Scalar + predicted gradient components in one pass. Only valid for
   /// models trained with gradient outputs (throws otherwise). At sampled
   /// grid points the scalar is pinned to the stored value while gradients
@@ -145,38 +165,32 @@ class FcnnReconstructor {
   [[nodiscard]] FcnnModel& model() { return model_; }
   [[nodiscard]] const FcnnModel& model() const { return model_; }
 
-  /// Kind of the currently bound neighbour index ("kdtree" / "grid_hash"),
-  /// or "none" before the first reconstruct.
-  [[nodiscard]] const char* index_kind() const {
-    return index_ ? index_->kind_name() : "none";
+  /// Index builds so far; a repeat call with the same cloud adds none.
+  [[nodiscard]] std::size_t tree_builds() const { return bound_.builds(); }
+  /// High-water mark of per-thread scratch (doubles) across all grid
+  /// reconstructions so far: the O(tile) memory bound tests assert.
+  [[nodiscard]] std::size_t peak_scratch_elements() const {
+    return peak_scratch_elements_;
   }
 
  private:
-  /// Neighbour index over `cloud`'s scrubbed points, rebuilt only when the
-  /// cloud changes (keyed on the points buffer identity) or the selection
-  /// policy picks a different kind for this workload. Repeated
-  /// reconstructions of the same sampling — the Fig 10 timing loop,
-  /// upscaling to several grids — skip the scrub and the build after the
-  /// first call.
-  const vf::spatial::NeighborIndex& bound_index(
-      const vf::sampling::SampleCloud& cloud, std::size_t expected_queries);
-
-  /// Forward pass honouring opts_.quant: the fp64 Network path for None,
-  /// the packed single-precision GEMM otherwise. Consumes `X`.
-  [[nodiscard]] vf::nn::Matrix predict(vf::nn::Matrix X);
+  /// Predict the grid points `idx[0..n)` (every index 0..n when `idx` is
+  /// null) in tiles; `emit(target, value, Y, row)` writes each answer,
+  /// where row `row` of `Y` holds its normalised network outputs. Returns
+  /// the number of repaired points.
+  template <typename Emit>
+  std::size_t run_tiles(const BoundCloud& bound,
+                        const vf::field::UniformGrid3& grid,
+                        const std::int64_t* idx, std::int64_t n, Emit emit);
 
   FcnnModel model_;
   ReconstructOptions opts_;
   /// Quantized once at construction when opts_.quant != None.
   vf::nn::QuantizedNetwork qnet_;
-  std::unique_ptr<vf::spatial::NeighborIndex> index_;
-  vf::spatial::IndexKind bound_kind_ = vf::spatial::IndexKind::Auto;
-  /// Scrubbed copy of the bound cloud (the index/values the queries use).
-  vf::sampling::SampleCloud bound_;
-  std::size_t scrub_nonfinite_ = 0;
-  std::size_t scrub_duplicates_ = 0;
-  const void* tree_key_ = nullptr;
-  std::size_t tree_count_ = 0;
+  BoundCloud bound_;
+  /// Point-mode scratch (grid tiles use per-thread scratch).
+  PointScratch point_scratch_;
+  std::size_t peak_scratch_elements_ = 0;
 };
 
 /// Internal helper, exposed for tests and benches: assemble the (X, Y)

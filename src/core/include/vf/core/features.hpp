@@ -64,15 +64,13 @@ struct FeatureScratch {
   }
 };
 
-/// One request describing a feature-extraction job. Replaces the old
-/// three-way overload family (cloud x positions, cloud x grid indices,
-/// prebuilt tree x positions) with a single options-struct entry point.
+/// One request describing a feature-extraction job.
 ///
 /// Exactly one sample source and exactly one query shape must be set:
 ///   source:  `cloud`                         (an index is built per call)
 ///            `tree` + `values`               (prebuilt, the hot repeated-
 ///                                             query path: trainer loops,
-///                                             streaming tiles, serving)
+///                                             grid tiles, serving)
 ///   queries: `points`                        (arbitrary positions)
 ///            `grid` + `indices`              (grid points by linear index)
 struct FeatureRequest {
@@ -89,22 +87,6 @@ struct FeatureRequest {
 /// Parallelised; throws std::invalid_argument on an over- or
 /// under-specified request.
 vf::nn::Matrix extract_features(const FeatureRequest& req);
-
-/// Deprecated overload shims (one PR of grace): forward to the
-/// FeatureRequest entry point above.
-[[deprecated("use extract_features(FeatureRequest) instead")]]
-vf::nn::Matrix extract_features(const vf::sampling::SampleCloud& cloud,
-                                const std::vector<vf::field::Vec3>& queries);
-
-[[deprecated("use extract_features(FeatureRequest) instead")]]
-vf::nn::Matrix extract_features(const vf::sampling::SampleCloud& cloud,
-                                const vf::field::UniformGrid3& grid,
-                                const std::vector<std::int64_t>& indices);
-
-[[deprecated("use extract_features(FeatureRequest) instead")]]
-vf::nn::Matrix extract_features(const vf::spatial::KdTree& tree,
-                                const std::vector<double>& values,
-                                const std::vector<vf::field::Vec3>& queries);
 
 /// Allocation-free core: fills `X` (resized to count x 23) from `count`
 /// query positions. The batched neighbour query stages into `scratch` in

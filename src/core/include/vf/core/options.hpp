@@ -1,12 +1,9 @@
 #pragma once
-// Options structs for the reconstruction entry points.
+// Options struct for the reconstruction entry points.
 //
-// The reconstruction engines used to be configured through positional
-// constructor arguments (tile sizes, repair ks) that drifted apart between
-// FcnnReconstructor, BatchReconstructor, and the resilient path. Everything
-// tunable now lives in one named-field struct consumed uniformly by the
-// concrete engines and the vf::api facade; the old positional constructors
-// remain as deprecated shims for one PR.
+// Everything tunable about FCNN reconstruction lives in one named-field
+// struct, consumed alike by the grid engine (FcnnReconstructor), the
+// resilient path and the vf::api facade.
 
 #include <cstddef>
 
@@ -16,9 +13,12 @@
 namespace vf::core {
 
 struct ReconstructOptions {
-  /// Rows per streaming inference tile (BatchReconstructor): per-thread
-  /// scratch memory is O(tile_size), independent of the grid. Must match
-  /// BatchReconstructor::kDefaultTile (static_assert'd there).
+  /// Grid points per inference tile (FcnnReconstructor): per-thread
+  /// scratch memory is O(tile_size), independent of the grid. 2048 rows
+  /// keep the widest activation buffer (2048 x 512 doubles = 8 MB) within
+  /// reach of the outer cache levels while amortising per-tile setup; the
+  /// BM_BatchReconstruct sweep in bench/micro_kernels picked it over
+  /// 1024/4096/8192.
   std::size_t tile_size = 2048;
 
   /// Neighbour count for the per-point Shepard repair of non-finite

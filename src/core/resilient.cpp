@@ -5,8 +5,9 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "vf/core/batch_reconstruct.hpp"
+#include "vf/core/fcnn.hpp"
 #include "vf/core/features.hpp"
+#include "vf/core/inference.hpp"
 #include "vf/core/model.hpp"
 #include "vf/interp/reconstructor.hpp"
 #include "vf/obs/obs.hpp"
@@ -119,10 +120,12 @@ ScalarField reconstruct_resilient(const std::string& model_path,
   if (grid.point_count() <= 0) {
     throw std::invalid_argument("reconstruct_resilient: empty grid");
   }
-  report = ReconstructReport{};
-  report.input_points = cloud.size();
-  const SampleCloud clean =
-      cloud.scrubbed(report.scrubbed_nonfinite, report.scrubbed_duplicates);
+  // Scrub and index once: the FCNN engine queries this binding, and the
+  // classical fallback fills from the same scrubbed cloud.
+  BoundCloud bound;
+  bound.bind(cloud, engine.index, static_cast<std::size_t>(grid.point_count()));
+  report = bound.report();
+  const SampleCloud& clean = bound.cloud();
 
   if (clean.size() == 0) {
     // Nothing usable at all: a constant field is the only honest answer.
@@ -132,23 +135,12 @@ ScalarField reconstruct_resilient(const std::string& model_path,
     return ScalarField(grid, "fcnn");
   }
 
-  const std::size_t nonfinite = report.scrubbed_nonfinite;
-  const std::size_t duplicates = report.scrubbed_duplicates;
   if (clean.size() >= static_cast<std::size_t>(kNeighbors)) {
     try {
-      BatchReconstructor rec(FcnnModel::load(model_path), engine);
-      ScalarField out = rec.reconstruct(clean, grid, report);
-      // The inner report re-ran scrubbing on the already-clean cloud;
-      // restore the ingest-side accounting.
-      report.input_points = cloud.size();
-      report.scrubbed_nonfinite = nonfinite;
-      report.scrubbed_duplicates = duplicates;
-      return out;
+      FcnnReconstructor rec(FcnnModel::load(model_path), engine);
+      return rec.reconstruct(bound, grid, report);
     } catch (const std::exception& e) {
-      report = ReconstructReport{};  // discard any partial inner accounting
-      report.input_points = cloud.size();
-      report.scrubbed_nonfinite = nonfinite;
-      report.scrubbed_duplicates = duplicates;
+      report = bound.report();  // discard any partial inner accounting
       report.fallback = FallbackReason::ModelLoadFailed;
       report.detail = e.what();
     }

@@ -11,8 +11,10 @@
 //
 // Activations are staged in fp32 and, for the Fp16/Int8 policies, snapped
 // onto the storage grid between layers (round-trip through the fp16 codec /
-// per-tensor symmetric int8 grid), so results match what dedicated
+// a per-row symmetric int8 grid), so results match what dedicated
 // half/int8 hardware units would produce up to fp32 accumulation order.
+// Every row is computed independently of the others, so how rows are
+// chunked or batched never changes a result.
 // Accumulation is always fp32 (exact for int8 products at the model's layer
 // widths: 512 * 127^2 < 2^24).
 //

@@ -230,16 +230,23 @@ void decode_fp16(const std::uint16_t* h, std::size_t n, float* out) {
   for (; i < n; ++i) out[i] = fp16_decode(h[i]);
 }
 
-/// Snap every value onto a per-tensor symmetric int8 grid.
-void snap_int8(float* v, std::size_t n) {
-  float amax = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) amax = std::max(amax, std::fabs(v[i]));
-  if (!(amax > 0.0f)) return;  // all-zero (or non-finite: leave for repair)
-  const float step = amax / 127.0f;
-  const float inv = 127.0f / amax;
+/// Snap each of `rows` rows of `width` values onto its own symmetric int8
+/// grid. A per-row scale keeps a point's answer independent of the other
+/// rows that share its chunk (a grid tile, a serve micro-batch).
+void snap_int8(float* v, std::size_t rows, std::size_t width) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* row = v + r * width;
+    float amax = 0.0f;
+    for (std::size_t i = 0; i < width; ++i) {
+      amax = std::max(amax, std::fabs(row[i]));
+    }
+    if (!(amax > 0.0f)) continue;  // all-zero (or non-finite: leave for repair)
+    const float step = amax / 127.0f;
+    const float inv = 127.0f / amax;
 #pragma omp simd
-  for (std::size_t i = 0; i < n; ++i) {
-    v[i] = std::nearbyintf(v[i] * inv) * step;
+    for (std::size_t i = 0; i < width; ++i) {
+      row[i] = std::nearbyintf(row[i] * inv) * step;
+    }
   }
 }
 
@@ -413,7 +420,7 @@ void QuantizedNetwork::infer(const Matrix& input, Matrix& output,
       }
     }
     if (policy_ == QuantPolicy::Fp16) snap_fp16(cur, mb * in0);
-    if (policy_ == QuantPolicy::Int8) snap_int8(cur, mb * in0);
+    if (policy_ == QuantPolicy::Int8) snap_int8(cur, mb, in0);
 
     float* nxt = scratch.act_b.data();
     for (std::size_t li = 0; li < layers_.size(); ++li) {
@@ -426,7 +433,7 @@ void QuantizedNetwork::infer(const Matrix& input, Matrix& output,
       if (li + 1 < layers_.size()) {
         // Hidden activations live on the storage grid between layers.
         if (policy_ == QuantPolicy::Fp16) snap_fp16(nxt, mb * q.out);
-        if (policy_ == QuantPolicy::Int8) snap_int8(nxt, mb * q.out);
+        if (policy_ == QuantPolicy::Int8) snap_int8(nxt, mb, q.out);
         std::swap(cur, nxt);
       } else {
         for (std::size_t r = 0; r < mb; ++r) {

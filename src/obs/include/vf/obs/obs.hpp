@@ -9,7 +9,7 @@
 //                                                // nesting adds the '/')
 //   VF_OBS_COUNT("nn.gemm.calls", 1);            // counter += n
 //   VF_OBS_GAUGE("nn.train.last_loss", loss);    // gauge = v
-//   VF_OBS_HIST("core.batch.tile_seconds", s);   // histogram.record(v)
+//   VF_OBS_HIST("core.reconstruct.tile_seconds", s); // histogram.record(v)
 //   VF_OBS_HIST_TIMER("nn.train.epoch_seconds"); // RAII scope timer -> hist
 //
 // Two switches:

@@ -23,9 +23,6 @@
 // Queries are answered by the embedded serve tier the whole time — each
 // step's publish is a hot swap under the registry's generation counter,
 // so in-flight queries against the superseded model complete safely.
-//
-// The legacy core::TemporalPipeline (synchronous, no serving, no drift
-// handling) is deprecated in favour of this facade.
 
 #include <chrono>
 #include <cstdint>

@@ -27,6 +27,13 @@ class SampleCloud {
   /// a .vtp produced elsewhere).
   SampleCloud(std::vector<vf::field::Vec3> points, std::vector<double> values);
 
+  /// Process-unique identity, drawn at construction and shared by copies.
+  /// A cloud has no mutators, so two clouds with one id hold the same
+  /// samples: caches of a scrubbed, indexed cloud (vf::core::BoundCloud)
+  /// key on it rather than on buffer addresses the allocator hands to the
+  /// next cloud of the same size.
+  [[nodiscard]] std::uint64_t id() const { return id_; }
+
   [[nodiscard]] std::size_t size() const { return points_.size(); }
   [[nodiscard]] const std::vector<vf::field::Vec3>& points() const {
     return points_;
@@ -62,6 +69,9 @@ class SampleCloud {
   static SampleCloud load_vtp(const std::string& path);
 
  private:
+  static std::uint64_t draw_id();
+
+  std::uint64_t id_ = draw_id();
   std::vector<vf::field::Vec3> points_;
   std::vector<double> values_;
   std::vector<std::int64_t> kept_indices_;

@@ -1,6 +1,7 @@
 #include "vf/sampling/sample_cloud.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -9,6 +10,11 @@
 #include "vf/field/vtk_io.hpp"
 
 namespace vf::sampling {
+
+std::uint64_t SampleCloud::draw_id() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 SampleCloud::SampleCloud(const vf::field::ScalarField& source,
                          std::vector<std::int64_t> kept_indices)

@@ -6,19 +6,19 @@
 //                               │                 │
 //                         admission control   ModelRegistry (LRU + breaker)
 //                               │                 │
-//                           shed (Overloaded)  vf::api::predict_points
+//                           shed (Overloaded)  vf::core::predict_points
 //
-// A session binds a sample cloud (scrubbed once, k-d tree built once) and
-// a model key; clients then submit point queries against the session.
-// Workers coalesce concurrent same-session requests into dynamic
-// micro-batches that ride the fused Network::infer path — one feature
-// extraction + one GEMM per batch instead of per request. Each worker
-// pins its OpenMP ICV to one thread: parallelism comes from the worker
-// pool (requests are many and small), not from data-parallel kernels, so
-// the pool never oversubscribes the machine. A model-load failure (disk
-// fault, VF_FAULT_MODEL_READ injection, open circuit breaker) degrades
-// the affected batch to the classical Shepard estimator instead of
-// failing the requests.
+// A session binds a sample cloud (a core::BoundCloud: scrubbed once,
+// indexed once) and a model key; clients then submit point queries
+// against the session. Workers coalesce concurrent same-session requests
+// into dynamic micro-batches that ride the fused Network::infer path — one
+// feature extraction + one GEMM per batch instead of per request. Each
+// worker pins its OpenMP ICV to one thread: parallelism comes from the
+// worker pool (requests are many and small), not from data-parallel
+// kernels, so the pool never oversubscribes the machine. A model-load
+// failure (disk fault, VF_FAULT_MODEL_READ injection, open circuit
+// breaker) degrades the affected batch to the classical Shepard estimator
+// instead of failing the requests.
 //
 // Request lifecycle guarantees (chaos-soak-tested, DESIGN.md §12): every
 // accepted request gets exactly one terminal answer through its Reply —
@@ -39,6 +39,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "vf/core/inference.hpp"
 #include "vf/nn/quant.hpp"
 #include "vf/sampling/sample_cloud.hpp"
 #include "vf/serve/queue.hpp"
@@ -178,9 +179,7 @@ class Service {
 
  private:
   struct Session {
-    vf::sampling::SampleCloud cloud;  // scrubbed
-    std::unique_ptr<vf::spatial::NeighborIndex> index;
-    std::vector<double> values;
+    vf::core::BoundCloud bound;
     /// Classical session (empty model_path): never touches the registry;
     /// every query runs the Shepard path with fallback:"classical".
     bool classical = false;

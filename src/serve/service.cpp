@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "vf/api/reconstruct.hpp"
 #include "vf/core/features.hpp"
 #include "vf/core/resilient.hpp"
 #include "vf/obs/obs.hpp"
@@ -22,7 +21,7 @@ struct WorkerScratch {
   std::vector<Vec3> points;
   std::vector<double> out;
   std::vector<std::size_t> repaired;
-  vf::api::PointScratch infer;
+  vf::core::PointScratch infer;
   /// Quantized copy of the last resolved model (ServiceOptions::quant !=
   /// None), keyed on the registry's model instance so a registry reload /
   /// eviction triggers re-quantization.
@@ -102,20 +101,16 @@ void Service::add_session(const std::string& key,
                           const vf::sampling::SampleCloud& cloud,
                           const std::string& model_path) {
   auto session = std::make_shared<Session>();
-  std::size_t nonfinite = 0, duplicates = 0;
-  session->cloud = cloud.scrubbed(nonfinite, duplicates);
-  if (session->cloud.size() < static_cast<std::size_t>(vf::core::kNeighbors)) {
+  // Expected queries per lookup = one micro-batch; Auto typically keeps
+  // the exact k-d tree for serve's sparse-probe workload.
+  session->bound.bind(cloud, options_.index, options_.batch_max_points);
+  if (session->bound.size() < static_cast<std::size_t>(vf::core::kNeighbors)) {
     throw std::invalid_argument(
         "vf::serve: session '" + key + "' has " +
-        std::to_string(session->cloud.size()) +
+        std::to_string(session->bound.size()) +
         " usable samples after scrubbing; need >= " +
         std::to_string(vf::core::kNeighbors) + " for k-NN features");
   }
-  // Expected queries per lookup = one micro-batch; Auto typically keeps
-  // the exact k-d tree for serve's sparse-probe workload.
-  session->index = vf::spatial::build_index(
-      session->cloud.points(), options_.index, options_.batch_max_points);
-  session->values = session->cloud.values();
   if (model_path.empty()) {
     // Classical session: no model to register — the registry entry (and
     // its breaker) would only ever fail. serve_batch routes straight to
@@ -302,10 +297,11 @@ void Service::serve_batch(std::vector<PointRequest>& batch,
         }
         qnet = &scratch.qnet;
       }
-      degraded_total = vf::api::predict_points(
-          *model, *session->index, session->values, scratch.points.data(),
-          total, scratch.out.data(), scratch.infer,
-          options_.repair_neighbors, &scratch.repaired, qnet);
+      const auto& bound = session->bound;
+      degraded_total = vf::core::predict_points(
+          *model, bound.index(), bound.values(), scratch.points.data(), total,
+          scratch.out.data(), scratch.infer, options_.repair_neighbors,
+          &scratch.repaired, qnet);
     } catch (const std::exception&) {
       model = nullptr;
       scratch.repaired.clear();
@@ -318,10 +314,9 @@ void Service::serve_batch(std::vector<PointRequest>& batch,
       classical = true;
       fallback_batches_.fetch_add(1, std::memory_order_relaxed);
       for (std::size_t i = 0; i < total; ++i) {
-        scratch.out[i] =
-            vf::core::shepard_estimate(*session->index, session->values,
-                                       scratch.points[i],
-                                       options_.repair_neighbors);
+        scratch.out[i] = vf::core::shepard_estimate(
+            session->bound.index(), session->bound.values(),
+            scratch.points[i], options_.repair_neighbors);
       }
       degraded_total = total;
     } catch (...) {

@@ -34,14 +34,6 @@ bool Cli::has(std::string_view name) const {
   return options_.find(std::string(name)) != options_.end();
 }
 
-bool Cli::canonicalize(std::string_view old_name, std::string_view canonical) {
-  auto it = options_.find(std::string(old_name));
-  if (it == options_.end()) return false;
-  options_.try_emplace(std::string(canonical), it->second);
-  options_.erase(it);
-  return true;
-}
-
 std::string Cli::get(std::string_view name, std::string fallback) const {
   auto it = options_.find(std::string(name));
   return it == options_.end() ? fallback : it->second;

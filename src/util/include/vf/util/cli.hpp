@@ -28,11 +28,6 @@ class Cli {
                                   double fallback) const;
   [[nodiscard]] bool get_bool(std::string_view name, bool fallback) const;
 
-  /// Flag-rename support: when `old_name` was passed, move its value to
-  /// `canonical` (unless the canonical spelling was also given, which
-  /// wins) and return true so the caller can print a deprecation note.
-  bool canonicalize(std::string_view old_name, std::string_view canonical);
-
   [[nodiscard]] const std::vector<std::string>& positionals() const {
     return positionals_;
   }

@@ -1,6 +1,7 @@
 // vf::api::Reconstructor — the unified reconstruction facade. Method
-// naming, Auto resolution, grid-mode parity with the concrete engines,
-// point mode, and the one-shot request form.
+// naming, Auto resolution, grid-mode parity with the classical engines,
+// point mode, and the one-shot request form. FCNN equivalence across the
+// grid, point and serve paths is tested in core_batch_reconstruct_test.
 
 #include <gtest/gtest.h>
 
@@ -42,9 +43,9 @@ vf::core::FcnnModel tiny_trained_model(const ScalarField& truth) {
 }
 
 TEST(ApiMethod, NamesRoundTrip) {
-  for (Method m : {Method::Auto, Method::Fcnn, Method::FcnnStream,
-                   Method::Nearest, Method::Shepard, Method::Linear,
-                   Method::Natural, Method::Rbf, Method::Kriging}) {
+  for (Method m : {Method::Auto, Method::FcnnStream, Method::Nearest,
+                   Method::Shepard, Method::Linear, Method::Natural,
+                   Method::Rbf, Method::Kriging}) {
     EXPECT_EQ(vf::api::method_from_name(vf::api::to_string(m)), m);
   }
   EXPECT_THROW((void)vf::api::method_from_name("voodoo"),
@@ -87,31 +88,6 @@ TEST(ApiFacade, ClassicalGridModeMatchesTheInterpEngine) {
   EXPECT_GE(got.stats.seconds, 0.0);
 }
 
-TEST(ApiFacade, FcnnAndStreamPathsAgreeOnTheSameModel) {
-  auto truth = smooth_truth();
-  ImportanceSampler sampler;
-  auto cloud = sampler.sample(truth, 0.05, 3);
-  auto model = tiny_trained_model(truth);
-
-  ReconstructOptions full_opts;
-  full_opts.method = Method::Fcnn;
-  full_opts.model = &model;
-  auto full = Reconstructor(full_opts).reconstruct(cloud, truth.grid());
-
-  ReconstructOptions stream_opts;
-  stream_opts.method = Method::FcnnStream;
-  stream_opts.model = &model;
-  stream_opts.engine.tile_size = 128;  // force several tiles
-  auto stream = Reconstructor(stream_opts).reconstruct(cloud, truth.grid());
-
-  ASSERT_EQ(full.field.size(), stream.field.size());
-  for (std::int64_t i = 0; i < full.field.size(); ++i) {
-    ASSERT_NEAR(full.field[i], stream.field[i], 1e-10) << "at " << i;
-  }
-  EXPECT_EQ(full.report.input_points, cloud.size());
-  EXPECT_GT(full.report.predicted_points, 0u);
-}
-
 TEST(ApiFacade, PointModePredictsFiniteValuesAndReusesTheBoundCloud) {
   auto truth = smooth_truth();
   ImportanceSampler sampler;
@@ -119,7 +95,7 @@ TEST(ApiFacade, PointModePredictsFiniteValuesAndReusesTheBoundCloud) {
   auto model = tiny_trained_model(truth);
 
   ReconstructOptions opts;
-  opts.method = Method::Fcnn;
+  opts.method = Method::FcnnStream;
   opts.model = &model;
   Reconstructor rec(opts);
 
@@ -171,7 +147,7 @@ TEST(ApiFacade, FcnnWithoutAModelSourceThrows) {
   ImportanceSampler sampler;
   auto cloud = sampler.sample(truth, 0.05, 3);
   ReconstructOptions opts;
-  opts.method = Method::Fcnn;
+  opts.method = Method::FcnnStream;
   Reconstructor rec(opts);
   EXPECT_THROW((void)rec.reconstruct(cloud, truth.grid()),
                std::invalid_argument);

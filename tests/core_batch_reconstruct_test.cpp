@@ -1,15 +1,31 @@
-// BatchReconstructor: the streaming tiled inference path must reproduce the
-// whole-grid FcnnReconstructor output, reuse its cached k-d tree across
-// calls, and keep per-thread scratch bounded by the tile size rather than
-// the grid size.
+// The one FCNN inference engine. Whole-grid reconstruction
+// (FcnnReconstructor) is a tiled point query through core::predict_points,
+// so the tile size, a single predict_points call over the same positions,
+// the facade's point mode and a served batch must all give the same answer
+// bit for bit, for fp64, fp16 and int8, on the cloud's own grid and on a
+// foreign one. The engine must also reuse its bound cloud (and rebind a
+// new cloud even when it lands on a freed cloud's buffers), keep scratch
+// bounded by the tile rather than the grid, and reject clouds too small
+// for the feature stencil.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <filesystem>
+#include <future>
+#include <optional>
+#include <string>
+#include <vector>
 
-#include "vf/core/batch_reconstruct.hpp"
+#include "vf/api/reconstruct.hpp"
 #include "vf/core/fcnn.hpp"
+#include "vf/core/inference.hpp"
+#include "vf/data/registry.hpp"
 #include "vf/sampling/samplers.hpp"
+#include "vf/serve/router.hpp"
 
 namespace {
 
@@ -17,8 +33,10 @@ using namespace vf::core;
 using vf::field::ScalarField;
 using vf::field::UniformGrid3;
 using vf::field::Vec3;
+using vf::nn::QuantPolicy;
 using vf::sampling::ImportanceSampler;
 using vf::sampling::SampleCloud;
+using vf::spatial::IndexKind;
 
 ScalarField smooth_truth(vf::field::Dims dims = {18, 18, 8}) {
   ScalarField f(UniformGrid3(dims, {0, 0, 0}, {1, 1, 1}), "t");
@@ -38,46 +56,60 @@ FcnnModel tiny_model(const ScalarField& truth) {
   return pretrain(truth, sampler, cfg).model;
 }
 
-void expect_fields_equal(const ScalarField& got, const ScalarField& want,
-                         double tol = 1e-10) {
+/// One trained model and sampling shared by every test in this file.
+struct Scene {
+  ScalarField truth;
+  FcnnModel model;
+  SampleCloud cloud;
+};
+
+const Scene& scene() {
+  static const Scene s = [] {
+    Scene out{smooth_truth(), FcnnModel{}, SampleCloud{}};
+    out.model = tiny_model(out.truth);
+    out.cloud = ImportanceSampler().sample(out.truth, 0.05, 7);
+    return out;
+  }();
+  return s;
+}
+
+/// Bitwise equality of two doubles (NaN payloads included).
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+void expect_fields_identical(const ScalarField& got, const ScalarField& want) {
   ASSERT_EQ(got.size(), want.size());
   for (std::int64_t i = 0; i < want.size(); ++i) {
-    ASSERT_NEAR(got[i], want[i], tol) << "at linear index " << i;
+    ASSERT_TRUE(same_bits(got[i], want[i]))
+        << "at linear index " << i << ": " << got[i] << " vs " << want[i];
   }
 }
 
-class BatchReconstruct : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    truth_ = new ScalarField(smooth_truth());
-    model_ = new FcnnModel(tiny_model(*truth_));
-  }
-  static void TearDownTestSuite() {
-    delete model_;
-    model_ = nullptr;
-    delete truth_;
-    truth_ = nullptr;
-  }
+// ---- engine behaviour -----------------------------------------------------
 
-  static ScalarField* truth_;
-  static FcnnModel* model_;
-};
+/// The whole grid in one tile: the single-pass reference for tiled runs.
+FcnnReconstructor whole_grid_engine(const FcnnModel& model,
+                                    const UniformGrid3& grid) {
+  return FcnnReconstructor(
+      model.clone(),
+      ReconstructOptions{.tile_size =
+                             static_cast<std::size_t>(grid.point_count())});
+}
 
-ScalarField* BatchReconstruct::truth_ = nullptr;
-FcnnModel* BatchReconstruct::model_ = nullptr;
-
-TEST_F(BatchReconstruct, MatchesWholeGridPathOnSameGrid) {
+TEST(BatchReconstruct, MatchesWholeGridPathOnSameGrid) {
+  const auto& s = scene();
   ImportanceSampler sampler;
-  SampleCloud cloud = sampler.sample(*truth_, 0.05, 7);
+  SampleCloud cloud = sampler.sample(s.truth, 0.05, 7);
 
-  FcnnReconstructor whole(model_->clone());
-  ScalarField want = whole.reconstruct(cloud, truth_->grid());
+  ScalarField want =
+      whole_grid_engine(s.model, s.truth.grid()).reconstruct(cloud, s.truth.grid());
 
   // A tile far smaller than the void count forces many tiles.
-  BatchReconstructor streaming(model_->clone(),
-                               ReconstructOptions{.tile_size = 333});
-  ScalarField got = streaming.reconstruct(cloud, truth_->grid());
-  expect_fields_equal(got, want);
+  FcnnReconstructor streaming(s.model.clone(),
+                              ReconstructOptions{.tile_size = 333});
+  ScalarField got = streaming.reconstruct(cloud, s.truth.grid());
+  expect_fields_identical(got, want);
 
   // Sampled points are pinned to their stored values exactly.
   const auto& kept = cloud.kept_indices();
@@ -87,52 +119,59 @@ TEST_F(BatchReconstruct, MatchesWholeGridPathOnSameGrid) {
   }
 }
 
-TEST_F(BatchReconstruct, MatchesWholeGridPathOnForeignGrid) {
+TEST(BatchReconstruct, MatchesWholeGridPathOnForeignGrid) {
+  const auto& s = scene();
   ImportanceSampler sampler;
-  SampleCloud cloud = sampler.sample(*truth_, 0.08, 9);
+  SampleCloud cloud = sampler.sample(s.truth, 0.08, 9);
   // Upscaling target: every point predicted, no pinning.
   UniformGrid3 fine({24, 24, 10}, {0, 0, 0}, {0.75, 0.75, 0.78});
 
-  FcnnReconstructor whole(model_->clone());
-  ScalarField want = whole.reconstruct(cloud, fine);
+  ScalarField want = whole_grid_engine(s.model, fine).reconstruct(cloud, fine);
 
-  BatchReconstructor streaming(model_->clone(),
-                               ReconstructOptions{.tile_size = 512});
+  FcnnReconstructor streaming(s.model.clone(),
+                              ReconstructOptions{.tile_size = 512});
   ScalarField got = streaming.reconstruct(cloud, fine);
-  expect_fields_equal(got, want);
+  expect_fields_identical(got, want);
 }
 
-TEST_F(BatchReconstruct, TreeIsCachedAcrossCallsAndRebuiltOnNewCloud) {
+TEST(BatchReconstruct, TreeIsCachedAcrossCallsAndRebuiltOnNewCloud) {
+  const auto& s = scene();
   ImportanceSampler sampler;
-  SampleCloud cloud = sampler.sample(*truth_, 0.05, 11);
+  SampleCloud cloud = sampler.sample(s.truth, 0.05, 11);
 
-  BatchReconstructor streaming(model_->clone(),
-                               ReconstructOptions{.tile_size = 512});
-  EXPECT_EQ(streaming.tree_builds(), 0u);
-  auto a = streaming.reconstruct(cloud, truth_->grid());
-  EXPECT_EQ(streaming.tree_builds(), 1u);
-  auto b = streaming.reconstruct(cloud, truth_->grid());
-  EXPECT_EQ(streaming.tree_builds(), 1u);  // cache hit
-  expect_fields_equal(b, a, 0.0);          // and deterministic
+  FcnnReconstructor engine(s.model.clone(),
+                           ReconstructOptions{.tile_size = 512});
+  EXPECT_EQ(engine.tree_builds(), 0u);
+  auto a = engine.reconstruct(cloud, s.truth.grid());
+  EXPECT_EQ(engine.tree_builds(), 1u);
+  auto b = engine.reconstruct(cloud, s.truth.grid());
+  EXPECT_EQ(engine.tree_builds(), 1u);  // cache hit
+  expect_fields_identical(b, a);         // and deterministic
 
-  SampleCloud other = sampler.sample(*truth_, 0.05, 12);
-  (void)streaming.reconstruct(other, truth_->grid());
-  EXPECT_EQ(streaming.tree_builds(), 2u);
+  // A copy is the same cloud: it shares the id, so it is not rebound.
+  const SampleCloud copy = cloud;
+  (void)engine.reconstruct(copy, s.truth.grid());
+  EXPECT_EQ(engine.tree_builds(), 1u);
+
+  SampleCloud other = sampler.sample(s.truth, 0.05, 12);
+  (void)engine.reconstruct(other, s.truth.grid());
+  EXPECT_EQ(engine.tree_builds(), 2u);
 }
 
-TEST_F(BatchReconstruct, ScratchScalesWithTileNotGrid) {
+TEST(BatchReconstruct, ScratchScalesWithTileNotGrid) {
+  const auto& s = scene();
   ImportanceSampler sampler;
-  SampleCloud cloud = sampler.sample(*truth_, 0.05, 13);
+  SampleCloud cloud = sampler.sample(s.truth, 0.05, 13);
 
   // Same tile, ~2.7x more grid points: scratch high-water mark must not
   // track the grid.
   const std::size_t tile = 256;
-  BatchReconstructor small_grid(model_->clone(),
-                                ReconstructOptions{.tile_size = tile});
-  (void)small_grid.reconstruct(cloud, truth_->grid());
+  FcnnReconstructor small_grid(s.model.clone(),
+                               ReconstructOptions{.tile_size = tile});
+  (void)small_grid.reconstruct(cloud, s.truth.grid());
   UniformGrid3 fine({24, 24, 12}, {0, 0, 0}, {0.75, 0.75, 0.64});
-  BatchReconstructor large_grid(model_->clone(),
-                                ReconstructOptions{.tile_size = tile});
+  FcnnReconstructor large_grid(s.model.clone(),
+                               ReconstructOptions{.tile_size = tile});
   (void)large_grid.reconstruct(cloud, fine);
 
   ASSERT_GT(small_grid.peak_scratch_elements(), 0u);
@@ -142,30 +181,239 @@ TEST_F(BatchReconstruct, ScratchScalesWithTileNotGrid) {
 
   // Quadrupling the tile grows scratch roughly proportionally (within 2x
   // of linear), far below any O(grid) footprint.
-  BatchReconstructor bigger_tile(model_->clone(),
-                                 ReconstructOptions{.tile_size = 4 * tile});
-  (void)bigger_tile.reconstruct(cloud, truth_->grid());
+  FcnnReconstructor bigger_tile(s.model.clone(),
+                                ReconstructOptions{.tile_size = 4 * tile});
+  (void)bigger_tile.reconstruct(cloud, s.truth.grid());
   EXPECT_GT(bigger_tile.peak_scratch_elements(),
             small_grid.peak_scratch_elements());
   EXPECT_LE(bigger_tile.peak_scratch_elements(),
             8 * small_grid.peak_scratch_elements());
 }
 
-TEST_F(BatchReconstruct, RejectsUndersizedCloudAndUnfittedModel) {
-  BatchReconstructor streaming(model_->clone(),
-                               ReconstructOptions{.tile_size = 128});
+TEST(BatchReconstruct, RejectsUndersizedCloudAndUnfittedModel) {
+  const auto& s = scene();
+  FcnnReconstructor engine(s.model.clone(),
+                           ReconstructOptions{.tile_size = 128});
   std::vector<Vec3> pts = {{0, 0, 0}, {1, 0, 0}, {0, 1, 0}};
   SampleCloud tiny(pts, {1.0, 2.0, 3.0});
-  EXPECT_THROW((void)streaming.reconstruct(tiny, truth_->grid()),
+  EXPECT_THROW((void)engine.reconstruct(tiny, s.truth.grid()),
                std::invalid_argument);
-  EXPECT_THROW(BatchReconstructor(FcnnModel{}, ReconstructOptions{}),
+  EXPECT_THROW(FcnnReconstructor(FcnnModel{}, ReconstructOptions{}),
                std::invalid_argument);
-  // The deprecated tile-size constructor must keep the same contract while
-  // the shim survives.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_THROW(BatchReconstructor(FcnnModel{}, 128), std::invalid_argument);
-#pragma GCC diagnostic pop
 }
+
+// A cloud freed and replaced by another of the same size can land on the
+// freed cloud's buffers. A cache keyed on buffer addresses then answered
+// the second timestep from the first timestep's samples; the bind is keyed
+// on the cloud's id, so both timesteps get their own answer.
+TEST(StaleCloud, ACloudBuiltOnAFreedCloudsBuffersIsRebound) {
+  const auto ds = vf::data::make_dataset("hurricane");
+  const ScalarField t10 = ds->generate({32, 32, 8}, 10.0);
+  const ScalarField t30 = ds->generate({32, 32, 8}, 30.0);
+  ImportanceSampler sampler;
+  const auto kept = sampler.sample(t10, 0.03, 5).kept_indices();
+  FcnnConfig cfg;
+  cfg.hidden = {16};
+  cfg.epochs = 2;
+  cfg.max_train_rows = 1000;
+  cfg.train_fractions = {0.03};
+  cfg.with_gradients = false;
+  const FcnnModel model = pretrain(t10, sampler, cfg).model;
+  const std::vector<Vec3> probes = {{3.5, 7.25, 2.5}, {20.0, 11.5, 4.75},
+                                    {29.5, 30.0, 6.0}};
+
+  vf::api::ReconstructOptions opts;
+  opts.method = vf::api::Method::FcnnStream;
+  opts.model = &model;
+  FcnnReconstructor engine(model.clone());
+  vf::api::Reconstructor facade(opts);
+  std::optional<SampleCloud> cloud;
+  cloud.emplace(t10, kept);
+  (void)engine.reconstruct(*cloud, t10.grid());
+  (void)facade.reconstruct_points(*cloud, probes);
+  cloud.reset();
+  cloud.emplace(t30, kept);
+  const ScalarField field = engine.reconstruct(*cloud, t30.grid());
+  const std::vector<double> values =
+      facade.reconstruct_points(*cloud, probes).values;
+
+  FcnnReconstructor fresh_engine(model.clone());
+  expect_fields_identical(field, fresh_engine.reconstruct(*cloud, t30.grid()));
+  vf::api::Reconstructor fresh_facade(opts);
+  const auto want = fresh_facade.reconstruct_points(*cloud, probes).values;
+  ASSERT_EQ(values.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(same_bits(values[i], want[i]))
+        << "probe " << i << ": " << values[i] << " vs " << want[i];
+  }
+}
+
+// ---- one answer per point, whatever carried it ----------------------------
+
+struct Case {
+  QuantPolicy policy;
+  bool foreign_grid;
+};
+
+std::string case_name(const ::testing::TestParamInfo<Case>& info) {
+  return std::string(info.param.policy == QuantPolicy::None
+                         ? "fp64"
+                         : vf::nn::to_string(info.param.policy)) +
+         (info.param.foreign_grid ? "_foreign_grid" : "_same_grid");
+}
+
+class Equivalence : public ::testing::TestWithParam<Case> {
+ protected:
+  /// The target grid: the cloud's own, or a finer upscaling grid where
+  /// every point is predicted.
+  [[nodiscard]] UniformGrid3 grid() const {
+    return GetParam().foreign_grid
+               ? UniformGrid3({24, 24, 10}, {0, 0, 0}, {0.75, 0.75, 0.78})
+               : scene().truth.grid();
+  }
+
+  [[nodiscard]] ReconstructOptions options(std::size_t tile) const {
+    ReconstructOptions o;
+    o.tile_size = tile;
+    o.quant = GetParam().policy;
+    return o;
+  }
+
+  /// Grid indices the engine predicts (voids on the same grid, every point
+  /// on a foreign one) and their positions.
+  [[nodiscard]] std::vector<std::int64_t> targets() const {
+    if (!GetParam().foreign_grid) return scene().cloud.void_indices();
+    std::vector<std::int64_t> all(
+        static_cast<std::size_t>(grid().point_count()));
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      all[i] = static_cast<std::int64_t>(i);
+    }
+    return all;
+  }
+};
+
+TEST_P(Equivalence, TileSizeDoesNotChangeTheField) {
+  const auto& s = scene();
+  const UniformGrid3 g = grid();
+  const ScalarField want =
+      FcnnReconstructor(s.model.clone(), options(2048)).reconstruct(s.cloud, g);
+  const auto larger_than_grid = static_cast<std::size_t>(g.point_count()) + 1;
+  for (std::size_t tile : {std::size_t{1}, std::size_t{97}, larger_than_grid}) {
+    SCOPED_TRACE("tile " + std::to_string(tile));
+    expect_fields_identical(
+        FcnnReconstructor(s.model.clone(), options(tile)).reconstruct(s.cloud, g),
+        want);
+  }
+}
+
+TEST_P(Equivalence, GridEqualsOnePredictPointsCall) {
+  const auto& s = scene();
+  const UniformGrid3 g = grid();
+  const ScalarField field =
+      FcnnReconstructor(s.model.clone(), options(97)).reconstruct(s.cloud, g);
+
+  // The same positions in one kernel call, against a cloud bound the way
+  // the engine binds it (neighbour ties must break identically).
+  const auto idx = targets();
+  std::vector<Vec3> pts(idx.size());
+  for (std::size_t i = 0; i < idx.size(); ++i) pts[i] = g.position(idx[i]);
+  BoundCloud bound;
+  bound.bind(s.cloud, IndexKind::Auto,
+             static_cast<std::size_t>(g.point_count()));
+  vf::nn::QuantizedNetwork qnet;
+  if (GetParam().policy != QuantPolicy::None) {
+    qnet = vf::nn::QuantizedNetwork(s.model.net, GetParam().policy);
+  }
+  std::vector<double> out(pts.size());
+  PointScratch scratch;
+  (void)predict_points(s.model, bound.index(), bound.values(), pts.data(),
+                       pts.size(), out.data(), scratch, 5, nullptr, &qnet);
+  for (std::size_t i = 0; i < idx.size(); ++i) {
+    ASSERT_TRUE(same_bits(field[idx[i]], out[i]))
+        << "grid index " << idx[i] << ": " << field[idx[i]] << " vs "
+        << out[i];
+  }
+}
+
+TEST_P(Equivalence, FacadeAndServedBatchesAgree) {
+  const auto& s = scene();
+  const UniformGrid3 g = grid();
+  const auto idx = targets();
+  std::vector<Vec3> pts;
+  for (std::size_t i = 0; i < idx.size(); i += 7) {
+    pts.push_back(g.position(idx[i]));
+  }
+
+  vf::api::ReconstructOptions fo;
+  fo.method = vf::api::Method::FcnnStream;
+  fo.model = &s.model;
+  fo.engine.quant = GetParam().policy;
+  fo.engine.index = IndexKind::KdTree;
+  vf::api::Reconstructor facade(fo);
+  const auto want = facade.reconstruct_points(s.cloud, pts).values;
+
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("vf_equivalence_" + std::to_string(::getpid()) + "_" +
+       ::testing::UnitTest::GetInstance()->current_test_info()->name());
+  fs::create_directories(dir);
+  const std::string model_path = (dir / "model.vfmd").string();
+  s.model.save(model_path);
+  std::vector<double> got;
+  {
+    vf::serve::RouterOptions ro;
+    ro.shards = 1;
+    ro.shard.quant = GetParam().policy;
+    ro.shard.index = IndexKind::KdTree;
+    vf::serve::ShardRouter router(ro);
+    router.add_session("equivalence", s.cloud, model_path);
+    // Uneven requests submitted together: the service batches them as it
+    // pleases, and no answer may depend on how.
+    std::vector<std::future<vf::serve::PointResponse>> replies;
+    constexpr std::size_t kSizes[] = {1, 7, 64, 3, 200};
+    std::size_t at = 0;
+    for (const std::size_t size : kSizes) {
+      const std::size_t n = std::min(size, pts.size() - at);
+      std::vector<Vec3> chunk(pts.begin() + static_cast<std::ptrdiff_t>(at),
+                              pts.begin() + static_cast<std::ptrdiff_t>(at + n));
+      auto reply = router.submit("equivalence", std::move(chunk));
+      ASSERT_TRUE(reply.has_value());
+      replies.push_back(std::move(*reply));
+      at += n;
+    }
+    if (at < pts.size()) {
+      auto reply = router.submit(
+          "equivalence",
+          std::vector<Vec3>(pts.begin() + static_cast<std::ptrdiff_t>(at),
+                            pts.end()));
+      ASSERT_TRUE(reply.has_value());
+      replies.push_back(std::move(*reply));
+    }
+    for (auto& reply : replies) {
+      const auto resp = reply.get();
+      ASSERT_EQ(resp.status, vf::serve::Status::Ok);
+      ASSERT_TRUE(resp.fallback.empty());
+      got.insert(got.end(), resp.values.begin(), resp.values.end());
+    }
+  }
+  fs::remove_all(dir);
+
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_TRUE(same_bits(got[i], want[i]))
+        << "point " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, Equivalence,
+    ::testing::Values(Case{QuantPolicy::None, false},
+                      Case{QuantPolicy::None, true},
+                      Case{QuantPolicy::Fp16, false},
+                      Case{QuantPolicy::Fp16, true},
+                      Case{QuantPolicy::Int8, false},
+                      Case{QuantPolicy::Int8, true}),
+    case_name);
 
 }  // namespace

@@ -5,12 +5,6 @@
 // missing/corrupt model still reconstructs without throwing, finite
 // everywhere, with the degradation visible in the report.
 
-// One case still exercises the deprecated TemporalPipeline shim's report
-// plumbing until the shim is removed.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 #include <cmath>
 #include <cstddef>
 #include <filesystem>
@@ -23,9 +17,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include "vf/core/batch_reconstruct.hpp"
 #include "vf/core/fcnn.hpp"
-#include "vf/core/pipeline.hpp"
 #include "vf/core/resilient.hpp"
 #include "vf/sampling/samplers.hpp"
 
@@ -170,16 +162,20 @@ TEST_F(DegradeTest, FcnnReconstructorScrubsRottenSamples) {
   for (std::size_t i = 0; i < poisoned_count; ++i) {
     truth[kept[5 * i]] = kNaN;  // ~1% of samples turn non-finite
   }
+  truth[kept[11]] = -kInf;
   const SampleCloud cloud(truth, kept);
 
-  vf::core::FcnnReconstructor rec(trained_model().clone());
+  // Small tiles: the scrubbed cloud serves many tiles.
+  vf::core::FcnnReconstructor rec(
+      trained_model().clone(), vf::core::ReconstructOptions{.tile_size = 64});
   ReconstructReport report;
   const auto out = rec.reconstruct(cloud, truth.grid(), report);
 
   EXPECT_TRUE(all_finite(out));
   EXPECT_EQ(report.input_points, cloud.size());
-  EXPECT_EQ(report.scrubbed_nonfinite, poisoned_count);
+  EXPECT_EQ(report.scrubbed_nonfinite, poisoned_count + 1);
   EXPECT_EQ(report.scrubbed_duplicates, 0u);
+  EXPECT_EQ(report.degraded_points, 0u);  // the network itself is healthy
   EXPECT_FALSE(report.clean());
   // Surviving samples stay pinned to their stored values.
   for (std::size_t i = poisoned_count; i < kept.size(); i += 7) {
@@ -188,7 +184,7 @@ TEST_F(DegradeTest, FcnnReconstructorScrubsRottenSamples) {
     }
   }
   // Every location is accounted for: pinned + predicted + degraded.
-  const std::size_t pinned = kept.size() - poisoned_count;
+  const std::size_t pinned = kept.size() - poisoned_count - 1;
   EXPECT_EQ(pinned + report.predicted_points + report.degraded_points,
             static_cast<std::size_t>(truth.grid().point_count()));
 }
@@ -201,7 +197,8 @@ TEST_F(DegradeTest, FcnnReconstructorRepairsNonFiniteOutputs) {
   // becomes NaN, so every void must be repaired from the samples.
   auto broken = trained_model().clone();
   broken.out_norm.stddev[0] = kNaN;
-  vf::core::FcnnReconstructor rec(std::move(broken));
+  vf::core::FcnnReconstructor rec(
+      std::move(broken), vf::core::ReconstructOptions{.tile_size = 64});
 
   ReconstructReport report;
   const auto out = rec.reconstruct(cloud, truth.grid(), report);
@@ -218,49 +215,7 @@ TEST_F(DegradeTest, FcnnReconstructorRepairsNonFiniteOutputs) {
   }
 }
 
-// ---- BatchReconstructor degradation ---------------------------------------
-
-TEST_F(DegradeTest, BatchReconstructorScrubsRottenSamples) {
-  auto truth = make_truth();
-  const auto reference = sampled_cloud(truth);
-  const auto kept = reference.kept_indices();
-  truth[kept[2]] = kNaN;
-  truth[kept[11]] = -kInf;
-  const SampleCloud cloud(truth, kept);
-
-  vf::core::BatchReconstructor rec(
-      trained_model().clone(), vf::core::ReconstructOptions{.tile_size = 64});
-  ReconstructReport report;
-  const auto out = rec.reconstruct(cloud, truth.grid(), report);
-
-  EXPECT_TRUE(all_finite(out));
-  EXPECT_EQ(report.input_points, cloud.size());
-  EXPECT_EQ(report.scrubbed_nonfinite, 2u);
-  EXPECT_EQ(report.degraded_points, 0u);  // the network itself is healthy
-  EXPECT_GT(report.predicted_points, 0u);
-}
-
-TEST_F(DegradeTest, BatchReconstructorRepairsNonFiniteOutputs) {
-  const auto truth = make_truth();
-  const auto cloud = sampled_cloud(truth);
-
-  auto broken = trained_model().clone();
-  broken.out_norm.stddev[0] = kNaN;
-  vf::core::BatchReconstructor rec(std::move(broken),
-                                   vf::core::ReconstructOptions{.tile_size = 64});
-
-  ReconstructReport report;
-  const auto out = rec.reconstruct(cloud, truth.grid(), report);
-
-  EXPECT_TRUE(all_finite(out));
-  EXPECT_EQ(report.fallback, FallbackReason::NonFiniteOutput);
-  EXPECT_EQ(report.predicted_points, 0u);
-  EXPECT_EQ(report.degraded_points,
-            static_cast<std::size_t>(truth.grid().point_count()) -
-                cloud.size());
-}
-
-TEST_F(DegradeTest, BatchReconstructorRejectsCloudScrubbedBelowStencil) {
+TEST_F(DegradeTest, FcnnReconstructorRejectsCloudScrubbedBelowStencil) {
   // 6 samples of which 3 rot away: fewer survivors than the 5-neighbour
   // feature stencil is an invalid argument at this API level (the resilient
   // wrapper degrades instead).
@@ -269,7 +224,7 @@ TEST_F(DegradeTest, BatchReconstructorRejectsCloudScrubbedBelowStencil) {
   std::vector<double> vals = {1, kNaN, 3, kNaN, 5, kNaN};
   const SampleCloud cloud(std::move(pts), std::move(vals));
 
-  vf::core::BatchReconstructor rec(trained_model().clone());
+  vf::core::FcnnReconstructor rec(trained_model().clone());
   ReconstructReport report;
   EXPECT_THROW(
       (void)rec.reconstruct(cloud, UniformGrid3({4, 2, 1}, {0, 0, 0}, {1, 1, 1}),
@@ -422,22 +377,7 @@ TEST_F(DegradeTest, FallbackMethodParsing) {
                std::invalid_argument);
 }
 
-// ---- pipeline + report plumbing -------------------------------------------
-
-TEST_F(DegradeTest, PipelineReconstructReportsDegradation) {
-  const auto truth = make_truth();
-  vf::core::PipelineOptions opts;
-  opts.archive_fraction = 0.15;
-  opts.pretrain_config = tiny_config();
-  vf::core::TemporalPipeline pipeline(opts);
-  const auto artifacts = pipeline.ingest(truth);
-
-  ReconstructReport report;
-  const auto out =
-      pipeline.reconstruct(artifacts.cloud, truth.grid(), report);
-  EXPECT_TRUE(all_finite(out));
-  EXPECT_EQ(report.input_points, artifacts.cloud.size());
-}
+// ---- report plumbing -----------------------------------------------------
 
 TEST_F(DegradeTest, ReportSummaryNamesEveryDegradation) {
   ReconstructReport r;

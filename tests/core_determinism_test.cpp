@@ -2,8 +2,8 @@
 //
 // The sparse-reconstruction results are only trustworthy if a field
 // reconstructed with N OpenMP threads is *bit-identical* to the 1-thread
-// run: every parallel decomposition in the repo (GEMM ic-blocks, tiled
-// BatchReconstructor, per-row Normalizer, column-chunked sum_rows) is
+// run: every parallel decomposition in the repo (GEMM ic-blocks, the tiled
+// FcnnReconstructor, per-row Normalizer, column-chunked sum_rows) is
 // designed to keep each double's floating-point accumulation order fixed
 // regardless of thread count. These tests pin that contract so a future
 // "optimisation" that re-associates sums across threads fails loudly.
@@ -14,7 +14,6 @@
 #include <cstring>
 #include <vector>
 
-#include "vf/core/batch_reconstruct.hpp"
 #include "vf/core/fcnn.hpp"
 #include "vf/core/features.hpp"
 #include "vf/nn/matrix.hpp"
@@ -123,7 +122,7 @@ TEST(Determinism, NormalizerBitIdenticalAcrossThreadCounts) {
   expect_bit_identical(m1, m4);
 }
 
-TEST(Determinism, BatchReconstructorBitIdenticalAcrossThreadCounts) {
+TEST(Determinism, FcnnReconstructorBitIdenticalAcrossThreadCounts) {
   ScalarField truth(UniformGrid3({16, 16, 6}, {0, 0, 0}, {1, 1, 1}), "t");
   truth.fill([](const Vec3& p) {
     return std::sin(0.4 * p.x) * std::cos(0.3 * p.y) + 0.2 * p.z;
@@ -141,12 +140,12 @@ TEST(Determinism, BatchReconstructorBitIdenticalAcrossThreadCounts) {
   ScalarField serial(truth.grid(), "s"), parallel(truth.grid(), "p");
   {
     ThreadGuard g(1);
-    BatchReconstructor r(model.clone(), ReconstructOptions{.tile_size = 97});
+    FcnnReconstructor r(model.clone(), ReconstructOptions{.tile_size = 97});
     serial = r.reconstruct(cloud, truth.grid());
   }
   {
     ThreadGuard g(4);
-    BatchReconstructor r(model.clone(), ReconstructOptions{.tile_size = 97});
+    FcnnReconstructor r(model.clone(), ReconstructOptions{.tile_size = 97});
     parallel = r.reconstruct(cloud, truth.grid());
   }
   ASSERT_EQ(serial.size(), parallel.size());

@@ -135,34 +135,6 @@ TEST(Features, RequestValidatesSourceAndQueryShape) {
   EXPECT_THROW(extract_features(both_queries), std::invalid_argument);
 }
 
-// The pre-FeatureRequest overloads are deprecated but must keep working for
-// one release; pin them to the new entry point bit-for-bit.
-TEST(Features, DeprecatedOverloadsMatchFeatureRequest) {
-  auto f = test_field();
-  std::vector<std::int64_t> kept;
-  for (std::int64_t i = 0; i < f.size(); i += 13) kept.push_back(i);
-  SampleCloud cloud(f, kept);
-  std::vector<Vec3> pts = {{2.5, 3.5, 1.5}, {9.0, 4.0, 5.0}};
-  std::vector<std::int64_t> idx = {4, 321, 650};
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  Matrix old_pts = extract_features(cloud, pts);
-  Matrix old_idx = extract_features(cloud, f.grid(), idx);
-#pragma GCC diagnostic pop
-
-  Matrix new_pts = features_at(cloud, pts);
-  Matrix new_idx = features_on_grid(cloud, f.grid(), idx);
-  ASSERT_EQ(old_pts.size(), new_pts.size());
-  for (std::size_t i = 0; i < old_pts.size(); ++i) {
-    ASSERT_EQ(old_pts.data()[i], new_pts.data()[i]);
-  }
-  ASSERT_EQ(old_idx.size(), new_idx.size());
-  for (std::size_t i = 0; i < old_idx.size(); ++i) {
-    ASSERT_EQ(old_idx.data()[i], new_idx.data()[i]);
-  }
-}
-
 TEST(Targets, ScalarOnly) {
   auto f = test_field();
   std::vector<std::int64_t> idx = {0, 7, 42};

@@ -10,7 +10,6 @@
 #include <memory>
 #include <string>
 
-#include "vf/core/batch_reconstruct.hpp"
 #include "vf/core/fcnn.hpp"
 #include "vf/data/registry.hpp"
 #include "vf/field/metrics.hpp"
@@ -19,7 +18,6 @@
 
 namespace {
 
-using vf::core::BatchReconstructor;
 using vf::core::FcnnConfig;
 using vf::core::FcnnModel;
 using vf::core::FcnnReconstructor;
@@ -33,7 +31,7 @@ using vf::sampling::SampleCloud;
 /// rounding is ~2^-11 relative — far below model error — so the observed
 /// delta is typically < 0.1 dB.
 constexpr double kFp16DeltaDb = 0.5;
-/// Int8's per-tensor weight grid is coarser; allow more but still catch
+/// Int8's per-row activation grid is coarser; allow more but still catch
 /// broken scales (which cost tens of dB).
 constexpr double kInt8DeltaDb = 3.0;
 
@@ -60,7 +58,7 @@ Guardrail make_guardrail(const std::string& dataset) {
 double snr_with_policy(const Guardrail& g, QuantPolicy policy) {
   ReconstructOptions opts;
   opts.quant = policy;
-  BatchReconstructor rec(g.model.clone(), opts);
+  FcnnReconstructor rec(g.model.clone(), opts);
   ScalarField out = rec.reconstruct(g.cloud, g.truth.grid());
   return vf::field::snr_db(g.truth, out);
 }
@@ -88,20 +86,5 @@ TEST_P(QuantSnrGuardrail, QuantizedSnrStaysWithinDeltaOfFp64) {
 INSTANTIATE_TEST_SUITE_P(Datasets, QuantSnrGuardrail,
                          ::testing::Values("hurricane", "combustion",
                                            "ionization"));
-
-TEST(QuantSnrGuardrail2, FullMatrixPathHonoursQuantToo) {
-  const Guardrail g = make_guardrail("hurricane");
-  ReconstructOptions opts;
-  opts.quant = QuantPolicy::Fp16;
-  FcnnReconstructor full(g.model.clone(), opts);
-  BatchReconstructor stream(g.model.clone(), opts);
-  ScalarField a = full.reconstruct(g.cloud, g.truth.grid());
-  ScalarField b = stream.reconstruct(g.cloud, g.truth.grid());
-  const double snr_a = vf::field::snr_db(g.truth, a);
-  const double snr_b = vf::field::snr_db(g.truth, b);
-  // Both engines run the same quantized forward; their quality must agree.
-  EXPECT_NEAR(snr_a, snr_b, 0.5);
-  EXPECT_EQ(stream.quant_policy(), QuantPolicy::Fp16);
-}
 
 }  // namespace

@@ -148,16 +148,24 @@ TEST_F(QuantNetwork, Fp16AndInt8StayWithinPolicyEnvelope) {
 }
 
 TEST_F(QuantNetwork, RowBatchingDoesNotChangeResults) {
-  QuantizedNetwork q(net_, QuantPolicy::Fp16);
-  QuantScratch s1, s2;
-  Matrix a, b;
-  q.infer(X_, a, s1);
-  q.infer(X_, b, s2, /*row_batch=*/64);
-  ASSERT_EQ(a.rows(), b.rows());
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (std::size_t c = 0; c < a.cols(); ++c) {
-      EXPECT_DOUBLE_EQ(a(r, c), b(r, c));
+  // A row's answer must not depend on which other rows share its chunk —
+  // the grid engine's tiles and serve's micro-batches rely on it.
+  for (QuantPolicy policy :
+       {QuantPolicy::Fp32, QuantPolicy::Fp16, QuantPolicy::Int8}) {
+    QuantizedNetwork q(net_, policy);
+    QuantScratch s1, s2, s3;
+    Matrix a, b, c;
+    q.infer(X_, a, s1);
+    q.infer(X_, b, s2, /*row_batch=*/64);
+    q.infer(X_, c, s3, /*row_batch=*/1);
+    ASSERT_EQ(a.rows(), b.rows());
+    std::size_t differ = 0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      differ += a.data()[i] != b.data()[i] || a.data()[i] != c.data()[i];
     }
+    EXPECT_EQ(differ, 0u) << "policy " << vf::nn::to_string(policy) << ": "
+                          << differ << " of " << a.size()
+                          << " outputs change with the row batch";
   }
 }
 

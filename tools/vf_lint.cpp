@@ -40,14 +40,14 @@
 //                    stopwatches, so the measurement lands in the exported
 //                    metrics/trace instead of a scattered local. Sites whose
 //                    timing feeds a returned artifact (TrainHistory,
-//                    TimestepArtifacts) annotate with
+//                    PretrainResult) annotate with
 //                    `// vf-lint: allow(raw-timer) <reason>`.
 //
 //   api-facade       Code outside src/ — tools, bench, examples — must go
 //                    through the vf::api::Reconstructor facade
-//                    (vf/api/reconstruct.hpp) rather than constructing
-//                    FcnnReconstructor / BatchReconstructor directly, so
-//                    engine selection, model caching, and stats stay in one
+//                    (vf/api/reconstruct.hpp) rather than constructing the
+//                    FCNN engine (FcnnReconstructor) directly, so engine
+//                    selection, model caching, and stats stay in one
 //                    place. Engine-level benchmarks and fine-tuning flows
 //                    that deliberately bypass the facade annotate with
 //                    `// vf-lint: allow(api-facade) <reason>`.
@@ -456,12 +456,10 @@ void lint_file(const fs::path& path, std::vector<Finding>& findings) {
 
     // --- api-facade -----------------------------------------------------
     if (outside_src && code.find("#include") == std::string::npos &&
-        (has_word(code, "FcnnReconstructor") ||
-         has_word(code, "BatchReconstructor")) &&
-        !allowed("api-facade")) {
+        has_word(code, "FcnnReconstructor") && !allowed("api-facade")) {
       findings.push_back(
           {file, lineno, "api-facade",
-           "direct FcnnReconstructor/BatchReconstructor use outside src/ — "
+           "direct FcnnReconstructor use outside src/ — "
            "reconstruct through vf::api::Reconstructor "
            "(vf/api/reconstruct.hpp), or annotate a deliberate engine-level "
            "site with vf-lint: allow(api-facade)"});

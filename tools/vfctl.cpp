@@ -57,9 +57,7 @@
 // (default 5000), 1 when the budget was blown (still no orphaned request:
 // the backlog is answered "draining" before exit).
 //
-// Flag spellings follow --<noun>-<verb(or qualifier)> form; the pre-rename
-// spellings (--t, --max-rows, --no-gradients, --case2, --fallback) still
-// work for one release and print a deprecation note on stderr.
+// Flag spellings follow --<noun>-<verb(or qualifier)> form.
 //
 // Observability (all commands): --metrics-out FILE writes the vf::obs
 // metrics registry (counters/gauges/histograms + aggregated span tree) as
@@ -925,38 +923,10 @@ void flush_observability(const util::Cli& cli) {
 
 }  // namespace
 
-namespace {
-
-/// Old flag spellings -> normalized --<noun>-<qualifier> form. Aliases keep
-/// working for one release; using one prints a deprecation note.
-constexpr struct {
-  const char* old_name;
-  const char* canonical;
-} kFlagAliases[] = {
-    {"t", "timestep"},
-    {"max-rows", "rows-max"},
-    {"no-gradients", "gradients-off"},
-    {"case2", "finetune-case2"},
-    {"fallback", "fallback-method"},
-    {"shard-count", "shards"},
-    {"wire-format", "wire"},
-    {"finetune-epochs", "epochs-per-step"},
-    {"drift-floor-snr", "drift-floor"},
-};
-
-}  // namespace
-
 int main(int argc, char** argv) {
   if (argc < 2) usage("no command");
   std::string cmd = argv[1];
   util::Cli cli(argc - 1, argv + 1);
-  for (const auto& alias : kFlagAliases) {
-    if (cli.canonicalize(alias.old_name, alias.canonical)) {
-      std::fprintf(stderr,
-                   "vfctl: --%s is deprecated, use --%s\n", alias.old_name,
-                   alias.canonical);
-    }
-  }
   int rc = -1;
   try {
     if (cmd == "generate") rc = cmd_generate(cli);
