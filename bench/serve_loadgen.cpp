@@ -199,8 +199,8 @@ double percentile(std::vector<double> v, double q) {
 }
 
 /// Build a router over `shards` shards and bind every key to the shared
-/// scene. Per-shard workers stay at the Service default (2) so a shard is
-/// the unit of scaling.
+/// scene. Per-shard workers stay at the ServiceOptions default (2) so a
+/// shard is the unit of scaling.
 std::unique_ptr<ShardRouter> make_tier(std::size_t shards,
                                        const std::vector<std::string>& keys,
                                        const vf::sampling::SampleCloud& cloud,

@@ -1,8 +1,8 @@
 #!/bin/bash
 # Run every figure/table-level bench sequentially, echoing each section
 # header the assemble.sh extractor expects. Any bench failing or timing out
-# fails the whole script (CI-safe); micro-benchmarks have their own runner
-# (run_micro.sh) and are skipped here.
+# fails the whole script (CI-safe); micro-benchmarks are skipped here (the
+# perf record comes from `build/bench/perf_smoke --repeat 3 --out FILE`).
 #
 # Usage: bench_logs/run_suite.sh [timeout-seconds-per-bench]
 set -euo pipefail

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   report("fcnn", rec_fcnn.field, rec_fcnn.stats.seconds);
 
   for (const auto& method : {"linear", "linear_seq", "natural", "shepard",
-                             "nearest", "rbf", "kriging"}) {
+                             "nearest", "rbf"}) {
     auto r = interp::make_reconstructor(method);
     timer.restart();
     auto rec = r->reconstruct(cloud, truth.grid());

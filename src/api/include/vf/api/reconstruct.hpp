@@ -2,7 +2,7 @@
 // vf::api — the unified reconstruction facade.
 //
 // One front door over three engine families: the FCNN engine
-// (vf::core::FcnnReconstructor), six classical interpolators behind
+// (vf::core::FcnnReconstructor), five classical interpolators behind
 // vf::interp, and reconstruct_resilient (never-throw degradation). Pick a
 // Method, fill ReconstructOptions, and call either the stateful
 // Reconstructor (caches the loaded model, the bound cloud and the chosen
@@ -13,9 +13,10 @@
 //   grid mode   — reconstruct a full ScalarField on a UniformGrid3
 //                 (every Method);
 //   point mode  — predict scalar values at arbitrary positions
-//                 (FcnnStream/Auto plus the Shepard and Nearest
-//                 estimators; the mesh-building interpolators are
-//                 grid-only and throw).
+//                 (FcnnStream/Auto, Shepard — the one modified Shepard
+//                 estimate, vf::interp::modified_shepard — and Nearest;
+//                 the mesh-building interpolators are grid-only and
+//                 throw).
 
 #include <cstdint>
 #include <memory>
@@ -43,7 +44,6 @@ enum class Method {
   Linear,
   Natural,
   Rbf,
-  Kriging,
 };
 
 /// Canonical name ("auto", "fcnn_stream", or the classical names).
@@ -63,9 +63,8 @@ struct ReconstructOptions {
 
   /// Never-throw mode (grid queries only): route through
   /// reconstruct_resilient so a missing/corrupt model degrades to the
-  /// classical `fallback` instead of throwing. Requires `model_path`.
+  /// modified Shepard grid instead of throwing. Requires `model_path`.
   bool resilient = false;
-  vf::core::FallbackMethod fallback = vf::core::FallbackMethod::Shepard;
 
   /// Engine tuning forwarded to the FCNN engine.
   vf::core::ReconstructOptions engine;

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "vf/interp/methods.hpp"
 #include "vf/obs/obs.hpp"
 #include "vf/util/timer.hpp"
 
@@ -23,7 +24,6 @@ const char* to_string(Method m) {
     case Method::Linear: return "linear";
     case Method::Natural: return "natural";
     case Method::Rbf: return "rbf";
-    case Method::Kriging: return "kriging";
   }
   return "unknown";
 }
@@ -31,7 +31,7 @@ const char* to_string(Method m) {
 Method method_from_name(const std::string& name) {
   for (Method m : {Method::Auto, Method::FcnnStream, Method::Nearest,
                    Method::Shepard, Method::Linear, Method::Natural,
-                   Method::Rbf, Method::Kriging}) {
+                   Method::Rbf}) {
     if (name == to_string(m)) return m;
   }
   throw std::invalid_argument("vf::api: unknown method '" + name + "'");
@@ -46,7 +46,6 @@ vf::interp::Method interp_method(Method m) {
     case Method::Linear: return vf::interp::Method::Linear;
     case Method::Natural: return vf::interp::Method::Natural;
     case Method::Rbf: return vf::interp::Method::Rbf;
-    case Method::Kriging: return vf::interp::Method::Kriging;
     default:
       throw std::logic_error("vf::api: not a classical method");
   }
@@ -118,8 +117,7 @@ ReconstructResult Reconstructor::reconstruct(const SampleCloud& cloud,
           "vf::api::Reconstructor: resilient mode needs model_path");
     }
     result.field = vf::core::reconstruct_resilient(
-        options_.model_path, cloud, grid, result.report, options_.fallback,
-        options_.engine);
+        options_.model_path, cloud, grid, result.report, options_.engine);
     result.stats.method = "resilient";
   } else if (method == Method::FcnnStream) {
     result.field = fcnn_engine(impl_->fcnn, options_)
@@ -165,12 +163,23 @@ ReconstructResult Reconstructor::reconstruct_points(
     // call's query count.
     auto& bound = impl_->bound;
     bound.bind(cloud, options_.engine.index, points.size());
+    if (bound.size() == 0) {
+      throw std::invalid_argument(
+          "vf::api: point queries need at least one usable sample");
+    }
     result.report = bound.report();
-    const int k = method == Method::Nearest ? 1 : vf::core::kNeighbors;
+    const auto& index = bound.index();
+    const auto& values = bound.values();
+    std::vector<vf::spatial::Neighbor> nbrs;
     result.values.resize(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
-      result.values[i] = vf::core::shepard_estimate(
-          bound.index(), bound.values(), points[i], k);
+      if (method == Method::Shepard) {
+        result.values[i] =
+            vf::interp::modified_shepard(index, values, points[i], nbrs);
+      } else {
+        index.knn(points[i], 1, nbrs);
+        result.values[i] = values[nbrs.front().index];
+      }
     }
     result.report.predicted_points = points.size();
   }

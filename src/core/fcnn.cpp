@@ -276,7 +276,6 @@ FcnnReconstructor::FcnnReconstructor(FcnnModel model,
                                      const ReconstructOptions& opts)
     : model_(std::move(model)), opts_(opts) {
   opts_.tile_size = std::max<std::size_t>(1, opts_.tile_size);
-  opts_.repair_neighbors = std::max(1, opts_.repair_neighbors);
   if (model_.out_norm.mean.empty() || model_.in_norm.mean.empty()) {
     throw std::invalid_argument(
         "FcnnReconstructor: model is missing normalisation constants");
@@ -321,8 +320,7 @@ std::size_t FcnnReconstructor::run_tiles(const BoundCloud& bound,
       // thread's sequential pipeline.
       degraded += predict_points(model_, bound.index(), bound.values(),
                                  ts.queries.data(), count, ts.values.data(),
-                                 ts.kernel, opts_.repair_neighbors, nullptr,
-                                 &qnet_);
+                                 ts.kernel, nullptr, &qnet_);
       for (std::size_t i = 0; i < count; ++i) {
         const auto g = b + static_cast<std::int64_t>(i);
         emit(idx ? idx[g] : g, ts.values[i], ts.kernel.Y, i);
@@ -386,7 +384,7 @@ std::vector<double> FcnnReconstructor::reconstruct_points(
   std::vector<double> out(points.size());
   const std::size_t degraded = predict_points(
       model_, bound_.index(), bound_.values(), points.data(), points.size(),
-      out.data(), point_scratch_, opts_.repair_neighbors, nullptr, &qnet_);
+      out.data(), point_scratch_, nullptr, &qnet_);
   account(report, points.size(), degraded);
   return out;
 }

@@ -3,7 +3,7 @@
 //
 // Every FCNN answer the library gives — a whole grid (FcnnReconstructor),
 // a facade point query (vf::api::Reconstructor), a served micro-batch
-// (vf::serve::Service) — comes from predict_points over a BoundCloud:
+// (vf::serve::ShardRouter) — comes from predict_points over a BoundCloud:
 //
 //   BoundCloud      the sample cloud with unusable samples scrubbed, its
 //                   neighbour index, and the scrub counts. It rebuilds only
@@ -12,8 +12,9 @@
 //                   queries of one sampling pay the scrub and build once.
 //   predict_points  five-neighbour features (paper §III-D) -> z-score
 //                   normalisation -> fp64 or quantized GEMM -> scalar
-//                   de-normalisation -> per-point Shepard repair of
-//                   non-finite outputs.
+//                   de-normalisation -> per-point modified-Shepard
+//                   repair (vf::interp::modified_shepard) of non-finite
+//                   outputs.
 //
 // A point's answer depends only on its own position: both GEMMs are
 // row-independent and the int8 path scales activations per row, so it
@@ -78,38 +79,41 @@ class BoundCloud {
 };
 
 /// Reusable per-thread scratch for predict_points (feature matrix,
-/// activation ping-pong, SoA neighbour staging, quantized staging). Buffers
-/// grow to the largest batch seen and are reused after.
+/// activation ping-pong, SoA neighbour staging, quantized staging, repair
+/// neighbours). Buffers grow to the largest batch seen and are reused
+/// after.
 struct PointScratch {
   vf::nn::Matrix X;
   vf::nn::Matrix Y;
   vf::nn::InferScratch infer;
   FeatureScratch features;
   vf::nn::QuantScratch quant;
+  std::vector<vf::spatial::Neighbor> repair;
 
   /// Footprint in double-equivalents (peak-memory accounting).
   [[nodiscard]] std::size_t element_count() const {
     return X.size() + Y.size() + infer.element_count() +
-           features.element_count() + quant.element_count();
+           features.element_count() + quant.element_count() +
+           2 * repair.capacity();
   }
 };
 
 /// Predict the scalar at `count` positions into `out`, against `index`
 /// over (already scrubbed) samples with `values`. Returns the number of
-/// points whose network output was non-finite and was replaced by a
-/// Shepard estimate over `repair_neighbors` samples; when `repaired_rows`
-/// is given each such row is appended to it. A non-empty `qnet` runs the
-/// packed single-precision GEMM instead of the fp64 network. After the
-/// call `scratch.Y` holds the normalised network outputs, one row per
-/// point (gradient columns included). Thread-safe for concurrent calls
-/// with distinct `scratch`/`out`; its kernels run on the caller's OpenMP
-/// team (one thread inside a parallel region or a serve worker).
+/// points whose network output was non-finite and was replaced by the
+/// modified Shepard estimate (vf::interp::modified_shepard); when
+/// `repaired_rows` is given each such row is appended to it. A non-empty
+/// `qnet` runs the packed single-precision GEMM instead of the fp64
+/// network. After the call `scratch.Y` holds the normalised network
+/// outputs, one row per point (gradient columns included). Thread-safe for
+/// concurrent calls with distinct `scratch`/`out`; its kernels run on the
+/// caller's OpenMP team (one thread inside a parallel region or a serve
+/// worker).
 std::size_t predict_points(const FcnnModel& model,
                            const vf::spatial::NeighborIndex& index,
                            const std::vector<double>& values,
                            const vf::field::Vec3* points, std::size_t count,
                            double* out, PointScratch& scratch,
-                           int repair_neighbors = 5,
                            std::vector<std::size_t>* repaired_rows = nullptr,
                            const vf::nn::QuantizedNetwork* qnet = nullptr);
 

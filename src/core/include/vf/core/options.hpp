@@ -21,10 +21,6 @@ struct ReconstructOptions {
   /// 1024/4096/8192.
   std::size_t tile_size = 2048;
 
-  /// Neighbour count for the per-point Shepard repair of non-finite
-  /// network outputs (historically hard-wired to the feature stencil k).
-  int repair_neighbors = 5;
-
   /// Inference precision. None runs the fp64 Network::infer path; Fp32 /
   /// Fp16 / Int8 run the packed single-precision GEMM over pre-quantized
   /// weights (see vf/nn/quant.hpp). Guarded by the SNR-regression suite.

@@ -1,45 +1,24 @@
 #pragma once
-// Never-throw reconstruction entry point plus the classical per-point
-// estimators the degradation paths share.
+// Never-throw reconstruction entry point.
 //
 // reconstruct_resilient() is the production face of the library: given a
 // model path and an archived cloud it always produces a field on valid
 // inputs, degrading stepwise instead of failing —
 //   1. unusable samples (non-finite, duplicated) are scrubbed on ingest;
 //   2. a missing/corrupt model file drops the whole reconstruction to the
-//      classical interpolant (Shepard or nearest-neighbour);
+//      modified Shepard grid (vf::interp::ShepardReconstructor);
 //   3. individual non-finite network outputs are replaced per point by the
-//      classical estimate.
+//      same modified Shepard estimate (vf::interp::modified_shepard).
 // Every decision is accounted for in the ReconstructReport.
 
 #include <string>
-#include <vector>
 
 #include "vf/core/options.hpp"
 #include "vf/core/report.hpp"
 #include "vf/field/scalar_field.hpp"
 #include "vf/sampling/sample_cloud.hpp"
-#include "vf/spatial/neighbor_index.hpp"
 
 namespace vf::core {
-
-/// Which classical estimator fills degraded points.
-enum class FallbackMethod {
-  Shepard,  ///< inverse-squared-distance weighting of the k nearest samples
-  Nearest,  ///< value of the single nearest sample
-};
-
-/// Parse "shepard" / "nearest" (throws std::invalid_argument otherwise).
-[[nodiscard]] FallbackMethod fallback_method_from(const std::string& name);
-
-/// Classical estimate at `p` from the k nearest samples in `index` (values
-/// parallel to the index's points). Finite whenever `values` are finite and
-/// the index is non-empty. k = 1 degenerates to nearest-neighbour. Queries
-/// reuse thread-local neighbour scratch, so repeated repair calls allocate
-/// nothing.
-[[nodiscard]] double shepard_estimate(const vf::spatial::NeighborIndex& index,
-                                      const std::vector<double>& values,
-                                      const vf::field::Vec3& p, int k);
 
 /// Reconstruct `grid` from `cloud` with the model stored at `model_path`,
 /// degrading gracefully per the module comment. Throws only on invalid
@@ -49,7 +28,6 @@ enum class FallbackMethod {
 [[nodiscard]] vf::field::ScalarField reconstruct_resilient(
     const std::string& model_path, const vf::sampling::SampleCloud& cloud,
     const vf::field::UniformGrid3& grid, ReconstructReport& report,
-    FallbackMethod fallback = FallbackMethod::Shepard,
     const ReconstructOptions& engine = {});
 
 }  // namespace vf::core

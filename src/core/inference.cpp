@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "vf/core/resilient.hpp"
+#include "vf/interp/methods.hpp"
 #include "vf/obs/obs.hpp"
 
 namespace vf::core {
@@ -49,7 +49,7 @@ std::size_t predict_points(const FcnnModel& model,
                            const vf::spatial::NeighborIndex& index,
                            const std::vector<double>& values,
                            const Vec3* points, std::size_t count, double* out,
-                           PointScratch& scratch, int repair_neighbors,
+                           PointScratch& scratch,
                            std::vector<std::size_t>* repaired_rows,
                            const vf::nn::QuantizedNetwork* qnet) {
   if (count == 0) return 0;
@@ -75,7 +75,8 @@ std::size_t predict_points(const FcnnModel& model,
     if (std::isfinite(y)) {
       out[i] = y;
     } else {
-      out[i] = shepard_estimate(index, values, points[i], repair_neighbors);
+      out[i] = vf::interp::modified_shepard(index, values, points[i],
+                                            scratch.repair);
       ++degraded;
       if (repaired_rows != nullptr) repaired_rows->push_back(i);
     }

@@ -1,8 +1,6 @@
 #include "vf/core/resilient.hpp"
 
-#include <cmath>
 #include <exception>
-#include <numeric>
 #include <stdexcept>
 
 #include "vf/core/fcnn.hpp"
@@ -16,7 +14,6 @@ namespace vf::core {
 
 using vf::field::ScalarField;
 using vf::field::UniformGrid3;
-using vf::field::Vec3;
 using vf::sampling::SampleCloud;
 
 const char* to_string(FallbackReason reason) {
@@ -50,48 +47,17 @@ std::string ReconstructReport::summary() const {
   return s;
 }
 
-FallbackMethod fallback_method_from(const std::string& name) {
-  if (name == "shepard") return FallbackMethod::Shepard;
-  if (name == "nearest") return FallbackMethod::Nearest;
-  throw std::invalid_argument("unknown fallback method: " + name);
-}
-
-double shepard_estimate(const vf::spatial::NeighborIndex& index,
-                        const std::vector<double>& values, const Vec3& p,
-                        int k) {
-  thread_local std::vector<vf::spatial::Neighbor> nbrs;
-  index.knn(p, k, nbrs);
-  // Exact hit (or k == 1): the nearest sample's value verbatim.
-  if (!nbrs.empty() && (nbrs.size() == 1 || nbrs.front().dist2 == 0.0)) {
-    return values[nbrs.front().index];
-  }
-  double wsum = 0.0, vsum = 0.0;
-  for (const auto& nb : nbrs) {
-    const double w = 1.0 / nb.dist2;
-    wsum += w;
-    vsum += w * values[nb.index];
-  }
-  return vsum / wsum;
-}
-
 namespace {
 
-/// The classical interpolant backing each fallback method.
-vf::interp::Method interp_method(FallbackMethod method) {
-  return method == FallbackMethod::Nearest ? vf::interp::Method::Nearest
-                                           : vf::interp::Method::Shepard;
-}
-
-/// Fill `grid` classically from `clean` via the shared vf::interp factory;
-/// kept samples are re-pinned to their stored values when the grids match
-/// (the interpolator is free to smooth over them).
+/// Fill `grid` with the modified Shepard grid from `clean` via the shared
+/// vf::interp factory; kept samples are re-pinned to their stored values
+/// when the grids match (the interpolator is free to smooth over them).
 ScalarField classical_fill(const SampleCloud& clean, const UniformGrid3& grid,
-                           FallbackMethod method, ReconstructReport& report) {
+                           ReconstructReport& report) {
   VF_OBS_SPAN("classical_fill");
   VF_OBS_COUNT("core.resilient.fallbacks", 1);
-  ScalarField out =
-      vf::interp::make_interpolator(interp_method(method))
-          ->reconstruct(clean, grid);
+  ScalarField out = vf::interp::make_interpolator(vf::interp::Method::Shepard)
+                        ->reconstruct(clean, grid);
   out.set_name("fcnn");
 
   if (clean.has_grid() && clean.grid() == grid) {
@@ -112,7 +78,6 @@ ScalarField reconstruct_resilient(const std::string& model_path,
                                   const SampleCloud& cloud,
                                   const UniformGrid3& grid,
                                   ReconstructReport& report,
-                                  FallbackMethod fallback,
                                   const ReconstructOptions& engine) {
   if (cloud.size() == 0) {
     throw std::invalid_argument("reconstruct_resilient: empty cloud");
@@ -148,7 +113,7 @@ ScalarField reconstruct_resilient(const std::string& model_path,
     report.fallback = FallbackReason::NoUsableSamples;
     report.detail = "fewer usable samples than the feature stencil needs";
   }
-  ScalarField out = classical_fill(clean, grid, fallback, report);
+  ScalarField out = classical_fill(clean, grid, report);
   VF_OBS_COUNT("core.resilient.degraded_points", report.degraded_points);
   return out;
 }

@@ -1,9 +1,26 @@
 #pragma once
 // Concrete classical reconstruction methods (paper §III-B).
 
+#include <vector>
+
 #include "vf/interp/reconstructor.hpp"
+#include "vf/spatial/neighbor_index.hpp"
 
 namespace vf::interp {
+
+/// Modified Shepard estimate (paper §III-B) at `p` from the 8 nearest
+/// samples in `index` (values parallel to the index's points), with
+/// Franke-Nielson weights w_i = ((R - d_i) / (R d_i))^2, where R lies just
+/// beyond the farthest of those neighbours. A query on a sample returns
+/// that sample's value. This is the library's one classical per-point
+/// estimate: the `shepard` grid, per-point repair of non-finite network
+/// outputs, serve's classical answers and the facade's point mode all call
+/// it. `nbrs` is caller-owned neighbour scratch, so a loop over points
+/// allocates nothing. Precondition: the index is not empty.
+[[nodiscard]] double modified_shepard(const vf::spatial::NeighborIndex& index,
+                                      const std::vector<double>& values,
+                                      const vf::field::Vec3& p,
+                                      std::vector<vf::spatial::Neighbor>& nbrs);
 
 /// Nearest neighbour: each grid point takes the value of the closest sample.
 /// Fast but blocky (Voronoi-piecewise-constant).
@@ -15,20 +32,15 @@ class NearestNeighborReconstructor final : public Reconstructor {
       const vf::field::UniformGrid3& grid) const override;
 };
 
-/// Modified Shepard (local inverse-distance weighting): uses the k nearest
-/// samples with Franke-Nielson weights w_i = ((R - d_i) / (R d_i))^2 where
-/// R is the distance to the k-th neighbour, giving compact support and
-/// C0-continuity (unlike global Shepard).
+/// Modified Shepard (local inverse-distance weighting): modified_shepard
+/// at every grid point over a k-d tree of the cloud. The Franke-Nielson
+/// weights give compact support and C0-continuity (unlike global Shepard).
 class ShepardReconstructor final : public Reconstructor {
  public:
-  explicit ShepardReconstructor(int k = 8) : k_(k) {}
   [[nodiscard]] std::string name() const override { return "shepard"; }
   [[nodiscard]] vf::field::ScalarField reconstruct(
       const vf::sampling::SampleCloud& cloud,
       const vf::field::UniformGrid3& grid) const override;
-
- private:
-  int k_;
 };
 
 /// Piecewise-linear interpolation over the Delaunay tetrahedralization —

@@ -43,11 +43,10 @@ enum class Method {
   LinearNaive,  // cold point location per query (paper's "initial" impl)
   Natural,
   Rbf,
-  Kriging,
 };
 
 /// Canonical name of `m` ("nearest", "shepard", "linear", "linear_seq",
-/// "linear_naive", "natural", "rbf", "kriging").
+/// "linear_naive", "natural", "rbf").
 [[nodiscard]] const char* to_string(Method m);
 
 /// Parse a canonical name back to the enum (throws std::invalid_argument).

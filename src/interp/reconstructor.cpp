@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "vf/interp/kriging.hpp"
 #include "vf/interp/methods.hpp"
 #include "vf/obs/obs.hpp"
 
@@ -30,14 +29,12 @@ std::unique_ptr<Reconstructor> make_raw(Method method) {
       return std::make_unique<NaturalNeighborReconstructor>();
     case Method::Rbf:
       return std::make_unique<RbfReconstructor>();
-    case Method::Kriging:
-      return std::make_unique<KrigingReconstructor>();
   }
   throw std::invalid_argument("make_interpolator: bad Method enum value");
 }
 
 /// Observability decorator around any classical method: one span plus a
-/// call counter and a latency histogram per method, so the six method
+/// call counter and a latency histogram per method, so the five method
 /// classes stay untouched. Metric names are dynamic (per method), so this
 /// calls the registry directly instead of using the static-caching macros.
 class InstrumentedReconstructor final : public Reconstructor {
@@ -79,7 +76,6 @@ const char* to_string(Method m) {
     case Method::LinearNaive: return "linear_naive";
     case Method::Natural: return "natural";
     case Method::Rbf: return "rbf";
-    case Method::Kriging: return "kriging";
   }
   return "unknown";
 }
@@ -87,7 +83,7 @@ const char* to_string(Method m) {
 Method method_from_name(const std::string& name) {
   for (Method m : {Method::Nearest, Method::Shepard, Method::Linear,
                    Method::LinearSeq, Method::LinearNaive, Method::Natural,
-                   Method::Rbf, Method::Kriging}) {
+                   Method::Rbf}) {
     if (name == to_string(m)) return m;
   }
   throw std::invalid_argument("method_from_name: unknown method '" + name +
@@ -103,7 +99,7 @@ std::unique_ptr<Reconstructor> make_reconstructor(const std::string& name) {
 }
 
 std::vector<std::string> reconstructor_names() {
-  return {"linear", "natural", "shepard", "nearest", "rbf", "kriging"};
+  return {"linear", "natural", "shepard", "nearest", "rbf"};
 }
 
 }  // namespace vf::interp

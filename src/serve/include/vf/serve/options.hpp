@@ -1,0 +1,63 @@
+#pragma once
+// Per-shard configuration and counters of the serving tier. Every shard of
+// a ShardRouter (vf/serve/router.hpp) is built from one ServiceOptions
+// (RouterOptions::shard) and reports one ServiceStats (RouterStats::shards,
+// summed into RouterStats::total, which the wire `stats` verb encodes).
+
+#include <chrono>
+#include <cstdint>
+#include <stdexcept>
+
+#include "vf/nn/quant.hpp"
+#include "vf/serve/registry.hpp"
+#include "vf/spatial/neighbor_index.hpp"
+
+namespace vf::serve {
+
+/// Thrown by the synchronous ShardRouter::query() when admission control
+/// sheds the request. submit() reports the same condition as std::nullopt
+/// so closed-loop clients can back off without exception overhead.
+struct OverloadedError : std::runtime_error {
+  OverloadedError() : std::runtime_error("vf::serve: queue full, request shed") {}
+};
+
+struct ServiceOptions {
+  /// Worker threads serving micro-batches.
+  std::size_t workers = 2;
+  /// Flush a micro-batch at this many query points...
+  std::size_t batch_max_points = 512;
+  /// ...or when the oldest member has waited this long.
+  std::chrono::microseconds batch_deadline{200};
+  /// Bounded backlog: pending requests beyond this are shed.
+  std::size_t queue_max = 256;
+  /// Default per-request deadline applied by ShardRouter::submit()/query()
+  /// when the caller passes none (zero = requests never expire).
+  std::chrono::milliseconds default_deadline{0};
+  /// Inference precision for served batches. None runs the fp64 Network
+  /// path; Fp32/Fp16/Int8 run the packed single-precision GEMM (each
+  /// worker quantizes the resolved model once and caches it, keyed on the
+  /// registry's model instance). Guarded by the SNR-regression suite.
+  vf::nn::QuantPolicy quant = vf::nn::QuantPolicy::None;
+  /// Session index kind. Auto resolves against batch_max_points — serve
+  /// micro-batches are sparse probes, so Auto keeps the exact k-d tree
+  /// for typical session sizes.
+  vf::spatial::IndexKind index = vf::spatial::IndexKind::Auto;
+  RegistryOptions registry;
+};
+
+/// Monotonic per-shard counters. A shard counts each submit it sees as
+/// accepted, shed or drain_rejects; every accepted request gets exactly one
+/// terminal answer (served, expired, drain-shed or failed).
+struct ServiceStats {
+  std::uint64_t accepted = 0;  ///< submits handed a future
+  std::uint64_t shed = 0;
+  std::uint64_t batches = 0;
+  std::uint64_t served_points = 0;
+  std::uint64_t degraded_points = 0;
+  std::uint64_t fallback_batches = 0;  ///< batches served classically
+  std::uint64_t expired = 0;  ///< requests answered DeadlineExceeded
+  std::uint64_t drain_rejects = 0;  ///< submits refused while draining
+  RegistryStats registry;
+};
+
+}  // namespace vf::serve

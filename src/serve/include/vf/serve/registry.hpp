@@ -74,8 +74,7 @@ struct RegistryOptions {
   /// windows (uniform in [backoff/2, backoff]) and, by default, for
   /// load-retry backoff. 0 keeps the exact un-jittered windows — the
   /// single-instance default and what the backoff-ladder tests pin.
-  /// ShardRouter derives a distinct salt per shard; a hand-built fleet
-  /// can set ServiceOptions::shard_id to get the same effect.
+  /// ShardRouter derives a distinct salt per shard.
   std::uint64_t shard_salt = 0;
 };
 

@@ -1,22 +1,23 @@
 #pragma once
-// ShardRouter — consistent-hash front-end over N Service shards (the
-// scale-out tier; see DESIGN.md §13).
+// ShardRouter — the serving tier: a consistent-hash front-end over N
+// shards (DESIGN.md §9 and §13). It is the only public serving type; a
+// one-shard router is the single-instance server.
 //
 //   clients ── submit(key, …) ──> HashRing ──> shard 0  (Service)
 //                                    │    └──> shard 1  (Service)
 //                              health/drain └> shard …  (Service)
 //
-// Each shard is a full Service — its own ModelRegistry, RequestQueue, and
-// worker pool — so shards share no locks, no breaker state, and no LRU:
-// one slow disk or tripped breaker degrades one shard, not the tier. A
-// (session, timestep) key maps to its home shard through a consistent
-// hash ring with virtual nodes, so adding or removing a shard remaps only
-// ~1/N of the key space (bounded-remap property, unit-tested) instead of
-// reshuffling every resident model.
+// Each shard is a Service (private to src/serve) — its own ModelRegistry,
+// RequestQueue, and worker pool — so shards share no locks, no breaker
+// state, and no LRU: one slow disk or tripped breaker degrades one shard,
+// not the tier. A (session, timestep) key maps to its home shard through a
+// consistent hash ring with virtual nodes, so adding or removing a shard
+// remaps only ~1/N of the key space (bounded-remap property, unit-tested)
+// instead of reshuffling every resident model.
 //
-// Routing is health-aware: a draining shard (the `ready` verb's notion —
-// Service::draining()) or one an operator marked unhealthy is skipped and
-// the request walks clockwise to the next healthy shard. Sessions follow
+// Routing is health-aware: a draining shard (the `ready` verb's notion) or
+// one an operator marked unhealthy is skipped and the request walks
+// clockwise to the next healthy shard. Sessions follow
 // a *versioned manifest*: add_session records (cloud, model path, version)
 // centrally and applies it eagerly to the home shard; when a request is
 // re-routed, the failover shard converges lazily — the router compares
@@ -31,6 +32,7 @@
 // instead of retrying in lockstep.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -41,7 +43,9 @@
 #include <vector>
 
 #include "vf/sampling/sample_cloud.hpp"
-#include "vf/serve/service.hpp"
+#include "vf/serve/options.hpp"
+#include "vf/serve/queue.hpp"
+#include "vf/serve/registry.hpp"
 #include "vf/util/mutex.hpp"
 #include "vf/util/thread_annotations.hpp"
 
@@ -80,15 +84,15 @@ class HashRing {
 };
 
 struct RouterOptions {
-  /// Shard count; each shard is a full Service built from `shard` below.
+  /// Shard count; each shard is built from `shard` below.
   std::size_t shards = 1;
   /// Virtual nodes per shard on the hash ring.
   std::size_t vnodes = 64;
   /// Ring seed (also the base of the per-shard salts).
   std::uint64_t seed = 0x76666c6c72696e67ULL;
-  /// Template for every shard's Service. The router overrides shard_id
-  /// and derives a per-shard registry shard_salt from `seed` (unless the
-  /// template already set a nonzero salt).
+  /// Template for every shard. The router derives a per-shard registry
+  /// shard_salt from `seed` (unless the template already set a nonzero
+  /// salt).
   ServiceOptions shard;
 };
 
@@ -97,8 +101,11 @@ struct RouterStats {
   std::uint64_t routed = 0;    ///< submits delegated to a shard
   std::uint64_t rerouted = 0;  ///< served off the home shard (drain/health)
   std::uint64_t manifest_applies = 0;  ///< session binds pushed to shards
-  std::uint64_t no_shard = 0;  ///< submits refused: no routable shard
-  ServiceStats total;          ///< element-wise sum across shards
+  /// Submits refused: no routable shard. Refusals while the whole tier
+  /// drains also count in total.drain_rejects.
+  std::uint64_t no_shard = 0;
+  /// Element-wise sum across shards, plus the router's own drain rejects.
+  ServiceStats total;
   std::vector<ServiceStats> shards;
 };
 
@@ -110,20 +117,29 @@ class ShardRouter {
   ShardRouter& operator=(const ShardRouter&) = delete;
 
   /// Register `key` in the versioned manifest (bumping its version) and
-  /// bind it eagerly on the home shard. Re-registering replaces the
-  /// entry; shards holding the old binding converge on their next routed
-  /// request. Throws std::invalid_argument as Service::add_session does.
+  /// bind it eagerly on the home shard: the cloud is scrubbed and indexed
+  /// there now, and `model_path` is registered with that shard's model
+  /// registry. An empty `model_path` binds a classical session, answered
+  /// by the modified Shepard estimate (fallback:"classical"). Re-registering
+  /// replaces the entry; shards holding the old binding converge on their
+  /// next routed request. Throws std::invalid_argument when fewer than
+  /// core::kNeighbors usable samples survive scrubbing; the manifest is
+  /// then left unchanged.
   void add_session(const std::string& key,
                    const vf::sampling::SampleCloud& cloud,
                    const std::string& model_path);
 
   [[nodiscard]] bool has_session(const std::string& key) const;
 
-  /// Route + delegate. Returns std::nullopt when every routable shard
-  /// refused (all draining/unhealthy, or the chosen shard's queue is
-  /// full). Throws std::invalid_argument for unmanifested keys.
+  /// Route + delegate with the ServiceOptions::default_deadline (none
+  /// when zero). Returns std::nullopt when every routable shard refused
+  /// (all draining/unhealthy, or the chosen shard's queue is full).
+  /// Throws std::invalid_argument for unmanifested keys.
   [[nodiscard]] std::optional<std::future<PointResponse>> submit(
       const std::string& key, std::vector<vf::field::Vec3> points);
+  /// As above with an explicit absolute deadline
+  /// (time_point::max() = none). A deadline already past is answered
+  /// DeadlineExceeded at once, without touching the queue or inference.
   [[nodiscard]] std::optional<std::future<PointResponse>> submit(
       const std::string& key, std::vector<vf::field::Vec3> points,
       std::chrono::steady_clock::time_point deadline);
@@ -139,8 +155,15 @@ class ShardRouter {
   /// std::nullopt when no shard is routable.
   [[nodiscard]] std::optional<std::size_t> route(const std::string& key) const;
 
-  /// Read-only access to one shard (stats, registry, ready snapshots).
-  [[nodiscard]] const Service& shard(std::size_t i) const;
+  /// The options shard `i` was built with (the template plus its salt).
+  [[nodiscard]] const ServiceOptions& shard_options(std::size_t i) const;
+
+  /// Every shard's per-model breaker state, for the `ready` verb. Keys are
+  /// shard-qualified ("<shard>/<key>") when there is more than one shard:
+  /// breakers are per-shard state, and an operator chasing one needs to
+  /// know which replica tripped.
+  [[nodiscard]] std::vector<std::pair<std::string, BreakerSnapshot>>
+  breaker_states() const;
 
   /// Operator health override: an unhealthy shard is skipped by routing
   /// but keeps serving its backlog.
@@ -169,18 +192,11 @@ class ShardRouter {
     std::string model_path;
     std::uint64_t version = 0;
   };
-  struct Shard {
-    std::unique_ptr<Service> service;
-    std::atomic<bool> healthy{true};
-    /// Manifest version last applied per key, for lazy convergence.
-    mutable vf::util::Mutex mu{"serve.router.shard"};
-    std::unordered_map<std::string, std::uint64_t> applied VF_GUARDED_BY(mu);
-  };
+  /// One shard's Service plus its routing state (defined in router.cpp,
+  /// so the Service type stays private to src/serve).
+  struct Shard;
 
-  [[nodiscard]] bool routable(const Shard& s) const {
-    return s.healthy.load(std::memory_order_relaxed) &&
-           !s.service->draining();
-  }
+  [[nodiscard]] static bool routable(const Shard& s);
   /// Bind `key` on shard `s` iff its applied version is stale.
   void converge_session(Shard& s,
                         const std::shared_ptr<const ManifestEntry>& entry,
@@ -199,6 +215,7 @@ class ShardRouter {
   std::atomic<std::uint64_t> rerouted_{0};
   std::atomic<std::uint64_t> manifest_applies_{0};
   std::atomic<std::uint64_t> no_shard_{0};
+  std::atomic<std::uint64_t> drain_rejects_{0};
 };
 
 }  // namespace vf::serve

@@ -60,8 +60,8 @@
 
 #include "vf/field/scalar_field.hpp"
 #include "vf/serve/queue.hpp"
+#include "vf/serve/options.hpp"
 #include "vf/serve/registry.hpp"
-#include "vf/serve/service.hpp"
 
 namespace vf::serve::wire {
 
@@ -87,7 +87,7 @@ bool status_from_name(const std::string& name, Status& out);
 bool parse_request(const std::string& line, Request& out, std::string& error);
 
 /// What the `ready` verb reports; filled by the server front-end so the
-/// codec stays unit-testable without a live Service.
+/// codec stays unit-testable without a live serving tier.
 struct ReadyInfo {
   bool draining = false;
   std::size_t queue_depth = 0;

@@ -4,9 +4,20 @@
 #include <stdexcept>
 #include <utility>
 
+#include "service.hpp"
 #include "vf/obs/obs.hpp"
 
 namespace vf::serve {
+
+struct ShardRouter::Shard {
+  explicit Shard(const ServiceOptions& options) : service(options) {}
+
+  Service service;
+  std::atomic<bool> healthy{true};
+  /// Manifest version last applied per key, for lazy convergence.
+  mutable vf::util::Mutex mu{"serve.router.shard"};
+  std::unordered_map<std::string, std::uint64_t> applied VF_GUARDED_BY(mu);
+};
 
 namespace {
 
@@ -109,16 +120,13 @@ ShardRouter::ShardRouter(RouterOptions options)
   for (std::size_t i = 0; i < options_.shards; ++i) {
     ring_.add_shard(static_cast<std::uint32_t>(i));
     ServiceOptions so = options_.shard;
-    so.shard_id = i;
     // Per-shard fault independence: distinct registry salts decorrelate
     // breaker open windows and load-retry backoff across shards (a
     // template that already set a salt keeps it — tests pin sequences).
     if (so.registry.shard_salt == 0) {
       so.registry.shard_salt = derive_shard_salt(options_.seed, i);
     }
-    auto sh = std::make_unique<Shard>();
-    sh->service = std::make_unique<Service>(so);
-    shards_.push_back(std::move(sh));
+    shards_.push_back(std::make_unique<Shard>(so));
   }
 }
 
@@ -139,7 +147,7 @@ void ShardRouter::add_session(const std::string& key,
   Shard& home = *shards_[ring_.owner(key)];
   {
     const vf::util::MutexLock lock(home.mu);
-    home.service->add_session(key, entry->cloud, entry->model_path);
+    home.service.add_session(key, entry->cloud, entry->model_path);
     home.applied[key] = entry->version;
   }
   manifest_applies_.fetch_add(1, std::memory_order_relaxed);
@@ -168,15 +176,24 @@ void ShardRouter::converge_session(
   // Stale (or never-bound) replica: re-bind before delegating. Holding
   // the shard's bind mutex serialises concurrent convergers, so the
   // scrub + index build runs once per (shard, version).
-  s.service->add_session(key, entry->cloud, entry->model_path);
+  s.service.add_session(key, entry->cloud, entry->model_path);
   s.applied[key] = entry->version;
   manifest_applies_.fetch_add(1, std::memory_order_relaxed);
   VF_OBS_COUNT("serve.router.manifest_applies", 1);
 }
 
+bool ShardRouter::routable(const Shard& s) {
+  return s.healthy.load(std::memory_order_relaxed) && !s.service.draining();
+}
+
 std::optional<std::future<PointResponse>> ShardRouter::submit(
     const std::string& key, std::vector<vf::field::Vec3> points) {
-  return submit(key, std::move(points), Service::kNoDeadline);
+  const auto default_deadline = options_.shard.default_deadline;
+  auto deadline = std::chrono::steady_clock::time_point::max();  // none
+  if (default_deadline > std::chrono::milliseconds(0)) {
+    deadline = std::chrono::steady_clock::now() + default_deadline;
+  }
+  return submit(key, std::move(points), deadline);
 }
 
 std::optional<std::future<PointResponse>> ShardRouter::submit(
@@ -193,6 +210,7 @@ std::optional<std::future<PointResponse>> ShardRouter::submit(
     entry = it->second;
   }
   bool diverted = false;
+  bool shard_refused = false;  // a shard's own submit counted the refusal
   for (const std::uint32_t idx : ring_.walk(key)) {
     Shard& s = *shards_[idx];
     if (!routable(s)) {
@@ -203,7 +221,7 @@ std::optional<std::future<PointResponse>> ShardRouter::submit(
     // Copy the points per attempt: a shard that flips to draining between
     // the routable() check and the enqueue refuses the submit, and the
     // next candidate still needs the payload.
-    auto fut = s.service->submit(key, points, deadline);
+    auto fut = s.service.submit(key, points, deadline);
     if (fut.has_value()) {
       routed_.fetch_add(1, std::memory_order_relaxed);
       if (diverted) {
@@ -212,15 +230,22 @@ std::optional<std::future<PointResponse>> ShardRouter::submit(
       }
       return fut;
     }
-    if (!s.service->draining()) {
+    if (!s.service.draining()) {
       // Queue-full shed, not a drain race: this is genuine backpressure.
       // Spilling it onto a neighbour would hide saturation from the
       // operator and melt the next shard too.
       return std::nullopt;
     }
     diverted = true;  // drain race: walk on
+    shard_refused = true;
   }
   no_shard_.fetch_add(1, std::memory_order_relaxed);
+  // The wire answers a refusal from a draining tier `draining`; count it
+  // as a drain reject too, unless a shard's submit already counted it.
+  if (!shard_refused && draining()) {
+    drain_rejects_.fetch_add(1, std::memory_order_relaxed);
+    VF_OBS_COUNT("serve.drain.rejects", 1);
+  }
   return std::nullopt;
 }
 
@@ -242,8 +267,20 @@ std::optional<std::size_t> ShardRouter::route(const std::string& key) const {
   return std::nullopt;
 }
 
-const Service& ShardRouter::shard(std::size_t i) const {
-  return *shards_.at(i)->service;
+const ServiceOptions& ShardRouter::shard_options(std::size_t i) const {
+  return shards_.at(i)->service.options();
+}
+
+std::vector<std::pair<std::string, BreakerSnapshot>>
+ShardRouter::breaker_states() const {
+  std::vector<std::pair<std::string, BreakerSnapshot>> out;
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    for (auto& [key, snap] : shards_[i]->service.registry().breaker_states()) {
+      out.emplace_back(
+          shards_.size() > 1 ? std::to_string(i) + "/" + key : key, snap);
+    }
+  }
+  return out;
 }
 
 void ShardRouter::set_healthy(std::size_t i, bool healthy) {
@@ -255,16 +292,16 @@ bool ShardRouter::healthy(std::size_t i) const {
 }
 
 void ShardRouter::begin_drain_shard(std::size_t i) {
-  shards_.at(i)->service->begin_drain();
+  shards_.at(i)->service.begin_drain();
 }
 
 void ShardRouter::begin_drain() {
-  for (auto& s : shards_) s->service->begin_drain();
+  for (auto& s : shards_) s->service.begin_drain();
 }
 
 bool ShardRouter::draining() const {
   for (const auto& s : shards_) {
-    if (!s->service->draining()) return false;
+    if (!s->service.draining()) return false;
   }
   return true;
 }
@@ -281,13 +318,13 @@ bool ShardRouter::drain(std::chrono::milliseconds budget) {
     if (left < std::chrono::milliseconds(0)) {
       left = std::chrono::milliseconds(0);
     }
-    in_budget = s->service->drain(left) && in_budget;
+    in_budget = s->service.drain(left) && in_budget;
   }
   return in_budget;
 }
 
 void ShardRouter::stop() {
-  for (auto& s : shards_) s->service->stop();
+  for (auto& s : shards_) s->service.stop();
 }
 
 RouterStats ShardRouter::stats() const {
@@ -298,15 +335,16 @@ RouterStats ShardRouter::stats() const {
   out.no_shard = no_shard_.load(std::memory_order_relaxed);
   out.shards.reserve(shards_.size());
   for (const auto& s : shards_) {
-    out.shards.push_back(s->service->stats());
+    out.shards.push_back(s->service.stats());
     accumulate(out.total, out.shards.back());
   }
+  out.total.drain_rejects += drain_rejects_.load(std::memory_order_relaxed);
   return out;
 }
 
 std::size_t ShardRouter::queue_depth() const {
   std::size_t depth = 0;
-  for (const auto& s : shards_) depth += s->service->queue_depth();
+  for (const auto& s : shards_) depth += s->service.queue_depth();
   return depth;
 }
 

@@ -1,4 +1,4 @@
-#include "vf/serve/service.hpp"
+#include "service.hpp"
 
 #include <algorithm>
 #include <exception>
@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "vf/core/features.hpp"
-#include "vf/core/resilient.hpp"
+#include "vf/interp/methods.hpp"
 #include "vf/obs/obs.hpp"
 #include "vf/util/fault.hpp"
 
@@ -23,30 +23,15 @@ struct WorkerScratch {
   std::vector<std::size_t> repaired;
   vf::core::PointScratch infer;
   /// Quantized copy of the last resolved model (ServiceOptions::quant !=
-  /// None), keyed on the registry's model instance so a registry reload /
-  /// eviction triggers re-quantization.
+  /// None), keyed on the model it was built from. Holding that model pins
+  /// its address, so a reload or hot swap can never be mistaken for it.
   vf::nn::QuantizedNetwork qnet;
-  const vf::core::FcnnModel* qnet_key = nullptr;
+  std::shared_ptr<const vf::core::FcnnModel> qnet_model;
 };
 
-namespace {
-
-/// ServiceOptions::shard_id contract: a sharded instance with an unsalted
-/// registry gets a derived per-shard salt (decorrelated retry jitter +
-/// breaker windows); shard 0 / explicit salts pass through untouched.
-RegistryOptions shard_registry_options(const ServiceOptions& options) {
-  RegistryOptions r = options.registry;
-  if (r.shard_salt == 0 && options.shard_id != 0) {
-    r.shard_salt = derive_shard_salt(0, options.shard_id);
-  }
-  return r;
-}
-
-}  // namespace
-
-Service::Service(ServiceOptions options)
+Service::Service(const ServiceOptions& options)
     : options_(options),
-      registry_(shard_registry_options(options)),
+      registry_(options.registry),
       queue_(options.queue_max) {
   const std::size_t n = std::max<std::size_t>(1, options_.workers);
   workers_.reserve(n);
@@ -114,7 +99,7 @@ void Service::add_session(const std::string& key,
   if (model_path.empty()) {
     // Classical session: no model to register — the registry entry (and
     // its breaker) would only ever fail. serve_batch routes straight to
-    // the Shepard estimator instead.
+    // the modified Shepard estimate instead.
     session->classical = true;
   } else {
     registry_.add(key, model_path);
@@ -123,26 +108,9 @@ void Service::add_session(const std::string& key,
   sessions_[key] = std::move(session);
 }
 
-bool Service::has_session(const std::string& key) const {
-  const vf::util::MutexLock lock(sessions_mu_);
-  return sessions_.count(key) > 0;
-}
-
-std::optional<std::future<PointResponse>> Service::submit(
-    const std::string& key, std::vector<Vec3> points) {
-  auto deadline = kNoDeadline;
-  if (options_.default_deadline > std::chrono::milliseconds(0)) {
-    deadline = std::chrono::steady_clock::now() + options_.default_deadline;
-  }
-  return submit(key, std::move(points), deadline);
-}
-
 std::optional<std::future<PointResponse>> Service::submit(
     const std::string& key, std::vector<Vec3> points,
     std::chrono::steady_clock::time_point deadline) {
-  if (!has_session(key)) {
-    throw std::invalid_argument("vf::serve: unknown session '" + key + "'");
-  }
   if (draining()) {
     drain_rejects_.fetch_add(1, std::memory_order_relaxed);
     VF_OBS_COUNT("serve.drain.rejects", 1);
@@ -155,7 +123,10 @@ std::optional<std::future<PointResponse>> Service::submit(
   auto future = req.reply.get_future();
   // A dead-on-arrival deadline never touches the queue (let alone the
   // registry or inference): answer it right here, resolved future and all.
+  // It was handed a future, so it counts as accepted, like a request that
+  // expires in the queue.
   if (req.expired(std::chrono::steady_clock::now())) {
+    accepted_.fetch_add(1, std::memory_order_relaxed);
     expired_.fetch_add(1, std::memory_order_relaxed);
     VF_OBS_COUNT("serve.submit.expired", 1);
     req.reply.fulfill(Status::DeadlineExceeded);
@@ -171,12 +142,6 @@ std::optional<std::future<PointResponse>> Service::submit(
       return std::nullopt;
   }
   return std::nullopt;
-}
-
-PointResponse Service::query(const std::string& key, std::vector<Vec3> points) {
-  auto future = submit(key, std::move(points));
-  if (!future) throw OverloadedError{};
-  return future->get();
 }
 
 void Service::worker_loop() {
@@ -291,17 +256,16 @@ void Service::serve_batch(std::vector<PointRequest>& batch,
       }
       const vf::nn::QuantizedNetwork* qnet = nullptr;
       if (options_.quant != vf::nn::QuantPolicy::None) {
-        if (scratch.qnet_key != model.get()) {
+        if (scratch.qnet_model != model) {
           scratch.qnet = vf::nn::QuantizedNetwork(model->net, options_.quant);
-          scratch.qnet_key = model.get();
+          scratch.qnet_model = model;
         }
         qnet = &scratch.qnet;
       }
       const auto& bound = session->bound;
       degraded_total = vf::core::predict_points(
           *model, bound.index(), bound.values(), scratch.points.data(), total,
-          scratch.out.data(), scratch.infer, options_.repair_neighbors,
-          &scratch.repaired, qnet);
+          scratch.out.data(), scratch.infer, &scratch.repaired, qnet);
     } catch (const std::exception&) {
       model = nullptr;
       scratch.repaired.clear();
@@ -313,10 +277,11 @@ void Service::serve_batch(std::vector<PointRequest>& batch,
       VF_OBS_COUNT("serve.fallback_batches", 1);
       classical = true;
       fallback_batches_.fetch_add(1, std::memory_order_relaxed);
+      const auto& bound = session->bound;
       for (std::size_t i = 0; i < total; ++i) {
-        scratch.out[i] = vf::core::shepard_estimate(
-            session->bound.index(), session->bound.values(),
-            scratch.points[i], options_.repair_neighbors);
+        scratch.out[i] = vf::interp::modified_shepard(
+            bound.index(), bound.values(), scratch.points[i],
+            scratch.infer.repair);
       }
       degraded_total = total;
     } catch (...) {

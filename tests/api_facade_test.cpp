@@ -1,15 +1,23 @@
 // vf::api::Reconstructor — the unified reconstruction facade. Method
 // naming, Auto resolution, grid-mode parity with the classical engines,
-// point mode, and the one-shot request form. FCNN equivalence across the
-// grid, point and serve paths is tested in core_batch_reconstruct_test.
+// point mode, the one-shot request form, and one classical estimator
+// behind every classical answer (grid, point mode, serve, FCNN repair).
+// FCNN equivalence across the grid, point and serve paths is tested in
+// core_batch_reconstruct_test.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "vf/api/reconstruct.hpp"
 #include "vf/interp/reconstructor.hpp"
 #include "vf/sampling/samplers.hpp"
+#include "vf/serve/router.hpp"
 
 namespace {
 
@@ -45,7 +53,7 @@ vf::core::FcnnModel tiny_trained_model(const ScalarField& truth) {
 TEST(ApiMethod, NamesRoundTrip) {
   for (Method m : {Method::Auto, Method::FcnnStream, Method::Nearest,
                    Method::Shepard, Method::Linear, Method::Natural,
-                   Method::Rbf, Method::Kriging}) {
+                   Method::Rbf}) {
     EXPECT_EQ(vf::api::method_from_name(vf::api::to_string(m)), m);
   }
   EXPECT_THROW((void)vf::api::method_from_name("voodoo"),
@@ -127,6 +135,21 @@ TEST(ApiFacade, NearestPointModeReturnsTheNearestSampleValue) {
   ASSERT_EQ(r.values.size(), 1u);
   EXPECT_DOUBLE_EQ(r.values[0], cloud.values()[0]);
   EXPECT_EQ(r.stats.method, "nearest");
+}
+
+TEST(ApiFacade, ClassicalPointModeNeedsAUsableSample) {
+  // Every sample scrubbed: there is nothing to estimate from.
+  const SampleCloud rotten({{0, 0, 0}, {1, 0, 0}},
+                           {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()});
+  const std::vector<Vec3> queries = {{0.5, 0, 0}};
+  for (const Method m : {Method::Shepard, Method::Nearest}) {
+    ReconstructOptions opts;
+    opts.method = m;
+    EXPECT_THROW((void)Reconstructor(opts).reconstruct_points(rotten, queries),
+                 std::invalid_argument)
+        << vf::api::to_string(m);
+  }
 }
 
 TEST(ApiFacade, MeshMethodsRejectPointQueries) {
@@ -220,6 +243,112 @@ TEST(ApiFacade, ResilientModeDegradesInsteadOfThrowing) {
   for (std::int64_t i = 0; i < r.field.size(); ++i) {
     ASSERT_TRUE(std::isfinite(r.field[i]));
   }
+}
+
+// ---- one classical estimator ----------------------------------------------
+//
+// The facade's Shepard grid is the reference: at every void of a clean
+// cloud, each other classical answer must equal it bit for bit. Every
+// index is the k-d tree, so neighbour order is the same everywhere.
+
+/// The Shepard grid of `cloud` at the grid's void positions.
+struct VoidReference {
+  std::vector<std::int64_t> voids;
+  std::vector<Vec3> positions;
+  std::vector<double> values;
+};
+
+VoidReference shepard_grid_at_voids(const SampleCloud& cloud,
+                                    const UniformGrid3& grid) {
+  ReconstructOptions opts;
+  opts.method = Method::Shepard;
+  const auto field = Reconstructor(opts).reconstruct(cloud, grid).field;
+  VoidReference ref;
+  ref.voids = cloud.void_indices();
+  for (const auto idx : ref.voids) {
+    ref.positions.push_back(grid.position(idx));
+    ref.values.push_back(field[idx]);
+  }
+  return ref;
+}
+
+/// Count of positions where `got` and `want` differ in any bit.
+std::size_t bitwise_differences(const std::vector<double>& got,
+                                const std::vector<double>& want) {
+  EXPECT_EQ(got.size(), want.size());
+  std::size_t differ = 0;
+  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    if (std::bit_cast<std::uint64_t>(got[i]) !=
+        std::bit_cast<std::uint64_t>(want[i])) {
+      ++differ;
+    }
+  }
+  return differ;
+}
+
+SampleCloud clean_cloud(const ScalarField& truth) {
+  return ImportanceSampler().sample(truth, 0.05, 3);
+}
+
+TEST(ClassicalEstimator, PointModeShepardEqualsTheShepardGrid) {
+  const auto truth = smooth_truth();
+  const auto cloud = clean_cloud(truth);
+  const auto ref = shepard_grid_at_voids(cloud, truth.grid());
+  ASSERT_FALSE(ref.voids.empty());
+
+  ReconstructOptions opts;
+  opts.method = Method::Shepard;
+  opts.engine.index = vf::spatial::IndexKind::KdTree;
+  const auto got = Reconstructor(opts).reconstruct_points(cloud, ref.positions);
+  EXPECT_EQ(bitwise_differences(got.values, ref.values), 0u)
+      << "of " << ref.values.size() << " void points";
+}
+
+TEST(ClassicalEstimator, ClassicalServeSessionEqualsTheShepardGrid) {
+  const auto truth = smooth_truth();
+  const auto cloud = clean_cloud(truth);
+  const auto ref = shepard_grid_at_voids(cloud, truth.grid());
+
+  vf::serve::RouterOptions ropts;
+  ropts.shard.index = vf::spatial::IndexKind::KdTree;
+  vf::serve::ShardRouter router(ropts);
+  router.add_session("classical", cloud, "");  // empty path: classical
+  const auto resp = router.query("classical", ref.positions);
+  EXPECT_EQ(resp.status, vf::serve::Status::Ok);
+  EXPECT_EQ(resp.fallback, "classical");
+  EXPECT_EQ(bitwise_differences(resp.values, ref.values), 0u)
+      << "of " << ref.values.size() << " void points";
+}
+
+TEST(ClassicalEstimator, FcnnRepairEqualsTheShepardGrid) {
+  const auto truth = smooth_truth();
+  const auto cloud = clean_cloud(truth);
+  const auto ref = shepard_grid_at_voids(cloud, truth.grid());
+
+  // A network whose de-normalised output is always NaN: every void point
+  // the FCNN engine predicts is repaired.
+  vf::core::FcnnModel model;
+  model.net = vf::nn::Network::mlp(
+      static_cast<std::size_t>(vf::core::kFeatureDim), {16, 8},
+      static_cast<std::size_t>(vf::core::kTargetDimScalar), 7);
+  model.in_norm.mean.assign(vf::core::kFeatureDim, 0.0);
+  model.in_norm.stddev.assign(vf::core::kFeatureDim, 1.0);
+  model.out_norm.mean.assign(vf::core::kTargetDimScalar, 0.0);
+  model.out_norm.stddev.assign(vf::core::kTargetDimScalar,
+                               std::numeric_limits<double>::quiet_NaN());
+  model.with_gradients = false;
+  vf::core::FcnnReconstructor rec(
+      std::move(model),
+      vf::core::ReconstructOptions{.index = vf::spatial::IndexKind::KdTree});
+  vf::core::ReconstructReport report;
+  const auto field = rec.reconstruct(cloud, truth.grid(), report);
+  EXPECT_EQ(report.degraded_points, ref.voids.size());
+
+  std::vector<double> got;
+  got.reserve(ref.voids.size());
+  for (const auto idx : ref.voids) got.push_back(field[idx]);
+  EXPECT_EQ(bitwise_differences(got, ref.values), 0u)
+      << "of " << ref.values.size() << " void points";
 }
 
 }  // namespace

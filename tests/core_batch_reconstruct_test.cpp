@@ -327,7 +327,7 @@ TEST_P(Equivalence, GridEqualsOnePredictPointsCall) {
   std::vector<double> out(pts.size());
   PointScratch scratch;
   (void)predict_points(s.model, bound.index(), bound.values(), pts.data(),
-                       pts.size(), out.data(), scratch, 5, nullptr, &qnet);
+                       pts.size(), out.data(), scratch, nullptr, &qnet);
   for (std::size_t i = 0; i < idx.size(); ++i) {
     ASSERT_TRUE(same_bits(field[idx[i]], out[i]))
         << "grid index " << idx[i] << ": " << field[idx[i]] << " vs "

@@ -19,12 +19,13 @@
 
 #include "vf/core/fcnn.hpp"
 #include "vf/core/resilient.hpp"
+#include "vf/interp/methods.hpp"
 #include "vf/sampling/samplers.hpp"
+#include "vf/spatial/kdtree.hpp"
 
 namespace {
 
 namespace fs = std::filesystem;
-using vf::core::FallbackMethod;
 using vf::core::FallbackReason;
 using vf::core::FcnnModel;
 using vf::core::ReconstructReport;
@@ -341,40 +342,18 @@ TEST_F(DegradeTest, ResilientRejectsInvalidArguments) {
                std::invalid_argument);
 }
 
-TEST_F(DegradeTest, NearestFallbackUsesNearestSampleValue) {
-  std::vector<Vec3> pts = {{0, 0, 0}, {3, 0, 0}};
-  std::vector<double> vals = {10.0, 20.0};
-  const SampleCloud cloud(std::move(pts), std::move(vals));
-  const UniformGrid3 grid({4, 1, 1}, {0, 0, 0}, {1, 1, 1});
-
-  ReconstructReport report;
-  const auto out = vf::core::reconstruct_resilient(
-      path("ignored.vfmd"), cloud, grid, report, FallbackMethod::Nearest);
-  EXPECT_EQ(out[0], 10.0);
-  EXPECT_EQ(out[1], 10.0);
-  EXPECT_EQ(out[2], 20.0);
-  EXPECT_EQ(out[3], 20.0);
-}
-
 TEST_F(DegradeTest, ShepardEstimateIsExactOnSamplePositions) {
   const std::vector<Vec3> pts = {{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {1, 1, 0},
                                  {0.5, 0.5, 1}};
   const std::vector<double> vals = {1, 2, 3, 4, 5};
   const vf::spatial::KdTree tree(pts);
-  EXPECT_EQ(vf::core::shepard_estimate(tree, vals, {1, 0, 0}, 5), 2.0);
-  const double mid = vf::core::shepard_estimate(tree, vals, {0.5, 0.5, 0}, 5);
+  std::vector<vf::spatial::Neighbor> nbrs;
+  EXPECT_EQ(vf::interp::modified_shepard(tree, vals, {1, 0, 0}, nbrs), 2.0);
+  const double mid =
+      vf::interp::modified_shepard(tree, vals, {0.5, 0.5, 0}, nbrs);
   EXPECT_TRUE(std::isfinite(mid));
   EXPECT_GE(mid, 1.0);
   EXPECT_LE(mid, 5.0);
-}
-
-TEST_F(DegradeTest, FallbackMethodParsing) {
-  EXPECT_EQ(vf::core::fallback_method_from("shepard"),
-            FallbackMethod::Shepard);
-  EXPECT_EQ(vf::core::fallback_method_from("nearest"),
-            FallbackMethod::Nearest);
-  EXPECT_THROW((void)vf::core::fallback_method_from("cubic"),
-               std::invalid_argument);
 }
 
 // ---- report plumbing -----------------------------------------------------

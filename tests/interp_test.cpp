@@ -37,7 +37,7 @@ ScalarField linear_field(vf::field::Dims dims = {16, 16, 8}) {
 TEST(Registry, MakesEveryMethod) {
   for (const auto& name :
        {"nearest", "shepard", "linear", "linear_seq", "linear_naive",
-        "natural", "rbf", "kriging"}) {
+        "natural", "rbf"}) {
     auto r = make_reconstructor(name);
     EXPECT_EQ(r->name(), name);
   }
@@ -46,7 +46,7 @@ TEST(Registry, MakesEveryMethod) {
 
 TEST(Registry, PaperOrderNames) {
   auto names = reconstructor_names();
-  ASSERT_EQ(names.size(), 6u);
+  ASSERT_EQ(names.size(), 5u);
   EXPECT_EQ(names[0], "linear");
 }
 
@@ -118,7 +118,7 @@ TEST_P(MethodContract, DeterministicGivenSameCloud) {
 
 INSTANTIATE_TEST_SUITE_P(All, MethodContract,
                          ::testing::Values("nearest", "shepard", "linear",
-                                           "natural", "rbf", "kriging"));
+                                           "natural", "rbf"));
 
 TEST(Nearest, ExactAtSamplePoints) {
   auto truth = smooth_field();
@@ -248,36 +248,6 @@ TEST(Rbf, NearExactAtSamplePoints) {
   for (std::int64_t idx : cloud.kept_indices()) {
     ASSERT_NEAR(rec[idx], truth[idx], 1e-6);
   }
-}
-
-TEST(Kriging, NearExactAtSamplePoints) {
-  auto truth = smooth_field({12, 12, 6});
-  RandomSampler sampler;
-  auto cloud = sampler.sample(truth, 0.05, 59);
-  auto rec = make_reconstructor("kriging")->reconstruct(cloud, truth.grid());
-  for (std::int64_t idx : cloud.kept_indices()) {
-    ASSERT_NEAR(rec[idx], truth[idx], 1e-6);
-  }
-}
-
-TEST(Kriging, BeatsNearestOnSmoothField) {
-  auto truth = smooth_field();
-  RandomSampler sampler;
-  auto cloud = sampler.sample(truth, 0.05, 61);
-  double rmse_k = vf::field::rmse(
-      truth, make_reconstructor("kriging")->reconstruct(cloud, truth.grid()));
-  double rmse_nn = vf::field::rmse(
-      truth,
-      NearestNeighborReconstructor().reconstruct(cloud, truth.grid()));
-  EXPECT_LT(rmse_k, rmse_nn);
-}
-
-TEST(Kriging, TooFewSamplesThrows) {
-  auto truth = smooth_field({6, 6, 4});
-  SampleCloud cloud(truth, {0});
-  EXPECT_THROW(
-      make_reconstructor("kriging")->reconstruct(cloud, truth.grid()),
-      std::invalid_argument);
 }
 
 TEST(Upscaling, MethodsReconstructOntoFinerGrid) {

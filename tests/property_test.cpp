@@ -62,7 +62,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values("hurricane", "combustion", "ionization"),
         ::testing::Values(0, 1, 2),
-        ::testing::Values("linear", "nearest", "shepard", "kriging")));
+        ::testing::Values("linear", "nearest", "shepard")));
 
 // ---- Delaunay structural validity across cloud shapes --------------------
 

@@ -1,5 +1,6 @@
 // Chaos soak for the serving stack (DESIGN.md §12): open-loop producers
-// hammer a Service while the model_read and serve_infer failpoints inject
+// hammer a one-shard ShardRouter — the front door production serves
+// through — while the model_read and serve_infer failpoints inject
 // storms of load and inference faults, the registry churns under a
 // one-model LRU cap, and tiny circuit-breaker backoffs force rapid
 // open/half-open/close cycling. The suite asserts the request-lifecycle
@@ -32,7 +33,7 @@
 #include "vf/core/fcnn.hpp"
 #include "vf/core/model.hpp"
 #include "vf/obs/obs.hpp"
-#include "vf/serve/service.hpp"
+#include "vf/serve/router.hpp"
 #include "vf/util/fault.hpp"
 #include "vf/util/lock_order.hpp"
 
@@ -46,8 +47,9 @@ using vf::field::Vec3;
 using vf::sampling::SampleCloud;
 using vf::serve::BreakerState;
 using vf::serve::PointResponse;
-using vf::serve::Service;
+using vf::serve::RouterOptions;
 using vf::serve::ServiceOptions;
+using vf::serve::ShardRouter;
 using vf::serve::Status;
 
 vf::core::FcnnModel tiny_model(unsigned seed) {
@@ -84,8 +86,9 @@ SampleCloud test_cloud() {
 /// keys evicts on nearly every cross-key batch, millisecond breaker
 /// backoffs cycle open/half-open/close inside the soak, and a short
 /// coalescing window keeps batches flowing.
-ServiceOptions chaos_options() {
-  ServiceOptions opts;
+RouterOptions chaos_options() {
+  RouterOptions ropts;
+  ServiceOptions& opts = ropts.shard;
   opts.workers = 3;
   opts.batch_deadline = 200us;
   opts.batch_max_points = 32;  // small batches: more registry traffic
@@ -94,7 +97,16 @@ ServiceOptions chaos_options() {
   opts.registry.breaker_threshold = 2;
   opts.registry.breaker_backoff = 2ms;
   opts.registry.breaker_backoff_max = 20ms;
-  return opts;
+  return ropts;
+}
+
+/// Breaker state of `key` on a one-shard tier (unqualified keys).
+vf::serve::BreakerState breaker_state(const ShardRouter& router,
+                                      const std::string& key) {
+  for (const auto& [name, snap] : router.breaker_states()) {
+    if (name == key) return snap.state;
+  }
+  throw std::invalid_argument("no breaker for '" + key + "'");
 }
 
 /// One harvested request outcome.
@@ -186,7 +198,7 @@ TEST_F(ServeChaosTest, SurvivesAFaultStormWithExactlyOneAnswerPerRequest) {
   fault::arm("model_read", {fault::Mode::Error, /*after=*/1, /*times=*/2});
   fault::arm("serve_infer", {fault::Mode::Error, /*after=*/2, /*times=*/3});
 
-  Service service(chaos_options());
+  ShardRouter service(chaos_options());
   service.add_session("a", test_cloud(), save_model("a", 1));
   service.add_session("b", test_cloud(), save_model("b", 2));
 
@@ -235,7 +247,7 @@ TEST_F(ServeChaosTest, SurvivesAFaultStormWithExactlyOneAnswerPerRequest) {
   EXPECT_GT(total.ok, accepted.load() / 2);
   EXPECT_EQ(total.failed, 0u);
 
-  const auto stats = service.stats();
+  const auto stats = service.stats().total;
   EXPECT_EQ(stats.accepted, accepted.load());
   // The storm actually fired: load failures and fallbacks are visible.
   EXPECT_GT(stats.registry.load_failures, 0u);
@@ -250,7 +262,7 @@ TEST_F(ServeChaosTest, DrainMidStormLeavesZeroOrphanedPromises) {
   fault::arm("model_read", {fault::Mode::Error, /*after=*/2, /*times=*/2});
   fault::arm("serve_infer", {fault::Mode::Error, /*after=*/4, /*times=*/2});
 
-  Service service(chaos_options());
+  ShardRouter service(chaos_options());
   service.add_session("a", test_cloud(), save_model("a", 1));
   service.add_session("b", test_cloud(), save_model("b", 2));
 
@@ -309,7 +321,7 @@ TEST_F(ServeChaosTest, DrainMidStormLeavesZeroOrphanedPromises) {
   // A refused submit surfaces as a drain reject (draining check) or a shed
   // (queue already shut down when the producer raced past the check) —
   // either way it was counted, never silently dropped.
-  const auto stats = service.stats();
+  const auto stats = service.stats().total;
   EXPECT_GE(stats.drain_rejects + stats.shed, rejected.load());
 }
 
@@ -323,10 +335,10 @@ TEST_F(ServeChaosTest, BreakerOpensUnderFaultsAndRecoversWhenTheyClear) {
   // A wider backoff window than the soak default so the back-to-back
   // queries below reliably land inside it (fast-fail, not probe) even
   // under sanitizer slowdown.
-  ServiceOptions opts = chaos_options();
-  opts.registry.breaker_backoff = 100ms;
-  opts.registry.breaker_backoff_max = 500ms;
-  Service service(opts);
+  RouterOptions opts = chaos_options();
+  opts.shard.registry.breaker_backoff = 100ms;
+  opts.shard.registry.breaker_backoff_max = 500ms;
+  ShardRouter service(opts);
   service.add_session("a", test_cloud(), save_model("a", 1));
 
   // Enough sequential queries to blow through breaker_threshold=2: the
@@ -337,10 +349,10 @@ TEST_F(ServeChaosTest, BreakerOpensUnderFaultsAndRecoversWhenTheyClear) {
     EXPECT_EQ(resp.status, Status::Ok);
     EXPECT_EQ(resp.fallback, "classical");
   }
-  auto stats = service.stats();
+  auto stats = service.stats().total;
   EXPECT_GT(stats.registry.breaker_opens, 0u);
   EXPECT_GT(stats.registry.breaker_fast_fails, 0u);
-  EXPECT_EQ(service.registry().breaker("a").state, BreakerState::Open);
+  EXPECT_EQ(breaker_state(service, "a"), BreakerState::Open);
 
   // The fault clears. After the (tiny) backoff the next resolve probes,
   // succeeds, and closes the breaker — full-fidelity serving resumes.
@@ -357,8 +369,8 @@ TEST_F(ServeChaosTest, BreakerOpensUnderFaultsAndRecoversWhenTheyClear) {
     std::this_thread::sleep_for(5ms);
   }
   EXPECT_TRUE(recovered) << "breaker never closed after the fault cleared";
-  EXPECT_EQ(service.registry().breaker("a").state, BreakerState::Closed);
-  EXPECT_EQ(service.stats().registry.open_breakers, 0u);
+  EXPECT_EQ(breaker_state(service, "a"), BreakerState::Closed);
+  EXPECT_EQ(service.stats().total.registry.open_breakers, 0u);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Service: end-to-end micro-batched point serving — session binding,
-// concurrent clients, deadline coalescing, load shedding, per-request
-// deadlines (dead-on-arrival and queue-side expiry), graceful drain, the
-// classical fallback on model-load failure, and clean shutdown (TSan via
-// the sanitize label).
+// The single-instance server — a one-shard ShardRouter — end to end:
+// micro-batched point serving, session binding, concurrent clients,
+// deadline coalescing, load shedding, per-request and default deadlines
+// (dead-on-arrival and queue-side expiry), graceful drain, the classical
+// fallback on model-load failure, hot swaps under a quantized policy, and
+// clean shutdown (TSan via the sanitize label).
 
 #include <gtest/gtest.h>
 
@@ -11,12 +12,14 @@
 #include <cmath>
 #include <filesystem>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "vf/core/fcnn.hpp"
 #include "vf/core/model.hpp"
-#include "vf/serve/service.hpp"
+#include "vf/serve/router.hpp"
+#include "vf/util/fault.hpp"
 
 namespace {
 
@@ -24,8 +27,9 @@ namespace fs = std::filesystem;
 using namespace std::chrono_literals;
 using vf::field::Vec3;
 using vf::sampling::SampleCloud;
-using vf::serve::Service;
+using vf::serve::RouterOptions;
 using vf::serve::ServiceOptions;
+using vf::serve::ShardRouter;
 using vf::serve::Status;
 
 vf::core::FcnnModel tiny_model() {
@@ -58,6 +62,13 @@ SampleCloud test_cloud() {
   return SampleCloud(points, values);
 }
 
+/// A one-shard tier whose shard runs `shard`: the single-instance server.
+RouterOptions one_shard(const ServiceOptions& shard) {
+  RouterOptions ropts;
+  ropts.shard = shard;
+  return ropts;
+}
+
 class ServiceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -76,7 +87,7 @@ class ServiceTest : public ::testing::Test {
 };
 
 TEST_F(ServiceTest, ServesPointQueriesAgainstABoundSession) {
-  Service service;
+  ShardRouter service;
   service.add_session("t0", test_cloud(), model_path_);
   EXPECT_TRUE(service.has_session("t0"));
   EXPECT_FALSE(service.has_session("t1"));
@@ -87,7 +98,7 @@ TEST_F(ServiceTest, ServesPointQueriesAgainstABoundSession) {
   EXPECT_TRUE(resp.fallback.empty());
   EXPECT_GE(resp.batch_points, 2u);
 
-  auto stats = service.stats();
+  auto stats = service.stats().total;
   EXPECT_EQ(stats.accepted, 1u);
   EXPECT_EQ(stats.shed, 0u);
   EXPECT_GE(stats.batches, 1u);
@@ -96,7 +107,7 @@ TEST_F(ServiceTest, ServesPointQueriesAgainstABoundSession) {
 }
 
 TEST_F(ServiceTest, UnknownSessionKeyThrows) {
-  Service service;
+  ShardRouter service;
   EXPECT_THROW((void)service.submit("nope", {{0, 0, 0}}),
                std::invalid_argument);
 }
@@ -105,7 +116,7 @@ TEST_F(ServiceTest, CoalescesConcurrentSameSessionRequests) {
   ServiceOptions opts;
   opts.workers = 1;
   opts.batch_deadline = 300ms;  // generous window so both requests join
-  Service service(opts);
+  ShardRouter service(one_shard(opts));
   service.add_session("t0", test_cloud(), model_path_);
 
   auto f1 = service.submit("t0", {{1, 1, 1}});
@@ -116,7 +127,7 @@ TEST_F(ServiceTest, CoalescesConcurrentSameSessionRequests) {
   // Both rode one micro-batch: each response saw the combined point count.
   EXPECT_EQ(r1.batch_points, 2u);
   EXPECT_EQ(r2.batch_points, 2u);
-  EXPECT_EQ(service.stats().batches, 1u);
+  EXPECT_EQ(service.stats().total.batches, 1u);
 }
 
 TEST_F(ServiceTest, ConcurrentClientsAllServed) {
@@ -124,7 +135,7 @@ TEST_F(ServiceTest, ConcurrentClientsAllServed) {
   opts.workers = 3;
   opts.batch_deadline = 200us;
   opts.queue_max = 10000;
-  Service service(opts);
+  ShardRouter service(one_shard(opts));
   service.add_session("t0", test_cloud(), model_path_);
 
   constexpr int kClients = 8;
@@ -145,7 +156,7 @@ TEST_F(ServiceTest, ConcurrentClientsAllServed) {
   }
   for (auto& t : clients) t.join();
 
-  auto stats = service.stats();
+  auto stats = service.stats().total;
   EXPECT_EQ(stats.accepted,
             static_cast<std::uint64_t>(kClients * kQueriesPerClient));
   EXPECT_EQ(stats.served_points, total_points.load());
@@ -159,7 +170,7 @@ TEST_F(ServiceTest, ShedsLoadWhenTheQueueIsFull) {
   opts.workers = 1;
   opts.batch_deadline = 500ms;  // park the worker on the first key's window
   opts.queue_max = 1;
-  Service service(opts);
+  ShardRouter service(one_shard(opts));
   service.add_session("a", test_cloud(), model_path_);
   service.add_session("b", test_cloud(), model_path_);
 
@@ -178,7 +189,7 @@ TEST_F(ServiceTest, ShedsLoadWhenTheQueueIsFull) {
     }
   }
   EXPECT_GE(shed, 3u);  // at most one "b" fits the bounded queue
-  EXPECT_EQ(service.stats().shed, shed);
+  EXPECT_EQ(service.stats().total.shed, shed);
 
   // Every accepted request is still served to completion.
   for (auto& f : accepted) {
@@ -188,7 +199,7 @@ TEST_F(ServiceTest, ShedsLoadWhenTheQueueIsFull) {
 }
 
 TEST_F(ServiceTest, FallsBackToClassicalWhenTheModelCannotLoad) {
-  Service service;
+  ShardRouter service;
   service.add_session("t0", test_cloud(), (dir_ / "missing.vfmd").string());
 
   auto resp = service.query("t0", {{1.0, 1.0, 1.0}, {3.0, 2.0, 1.0}});
@@ -199,14 +210,14 @@ TEST_F(ServiceTest, FallsBackToClassicalWhenTheModelCannotLoad) {
   // The classical estimate at an exact sample position is the sample value.
   EXPECT_NEAR(resp.values[0], std::sin(0.3) + 0.2 - 0.1, 1e-9);
 
-  auto stats = service.stats();
+  auto stats = service.stats().total;
   EXPECT_GE(stats.fallback_batches, 1u);
   EXPECT_EQ(stats.degraded_points, 2u);
   EXPECT_EQ(stats.registry.load_failures, 1u);
 }
 
 TEST_F(ServiceTest, AddSessionRejectsACloudTooSmallForFeatures) {
-  Service service;
+  ShardRouter service;
   // Fewer than kNeighbors usable samples must fail at bind time instead
   // of blowing up feature extraction inside a worker on the first query.
   SampleCloud tiny({{0, 0, 0}, {1, 0, 0}, {0, 1, 0}}, {1.0, 2.0, 3.0});
@@ -225,17 +236,17 @@ TEST_F(ServiceTest, DegradesToClassicalWhenTheModelIsIncompatible) {
   const std::string bad_path = (dir_ / "incompatible.vfmd").string();
   bad.save(bad_path);
 
-  Service service;
+  ShardRouter service;
   service.add_session("t0", test_cloud(), bad_path);
   auto resp = service.query("t0", {{1.0, 1.0, 1.0}});
   ASSERT_EQ(resp.values.size(), 1u);
   EXPECT_EQ(resp.fallback, "classical");
   EXPECT_TRUE(std::isfinite(resp.values[0]));
-  EXPECT_GE(service.stats().registry.load_failures, 1u);
+  EXPECT_GE(service.stats().total.registry.load_failures, 1u);
 }
 
 TEST_F(ServiceTest, RebindingASessionReplacesIt) {
-  Service service;
+  ShardRouter service;
   service.add_session("t0", test_cloud(), model_path_);
   (void)service.query("t0", {{1, 1, 1}});
 
@@ -246,7 +257,7 @@ TEST_F(ServiceTest, RebindingASessionReplacesIt) {
 }
 
 TEST_F(ServiceTest, StopIsIdempotentAndRefusesLateWork) {
-  auto service = std::make_unique<Service>();
+  auto service = std::make_unique<ShardRouter>();
   service->add_session("t0", test_cloud(), model_path_);
   (void)service->query("t0", {{1, 1, 1}});
   service->stop();
@@ -261,7 +272,7 @@ TEST_F(ServiceTest, StopIsIdempotentAndRefusesLateWork) {
 // --- per-request deadlines --------------------------------------------------
 
 TEST_F(ServiceTest, AlreadyExpiredDeadlineNeverReachesInference) {
-  Service service;
+  ShardRouter service;
   service.add_session("t0", test_cloud(), model_path_);
 
   auto f = service.submit("t0", {{1, 1, 1}},
@@ -271,7 +282,8 @@ TEST_F(ServiceTest, AlreadyExpiredDeadlineNeverReachesInference) {
   // registry, or inference.
   ASSERT_EQ(f->wait_for(0s), std::future_status::ready);
   EXPECT_EQ(f->get().status, Status::DeadlineExceeded);
-  const auto stats = service.stats();
+  const auto stats = service.stats().total;
+  EXPECT_EQ(stats.accepted, 1u);  // answered, so counted like any other
   EXPECT_EQ(stats.expired, 1u);
   EXPECT_EQ(stats.batches, 0u);
   EXPECT_EQ(stats.registry.loads, 0u);
@@ -281,7 +293,7 @@ TEST_F(ServiceTest, QueuedRequestPastItsDeadlineIsExpiredNotServed) {
   ServiceOptions opts;
   opts.workers = 1;
   opts.batch_deadline = 400ms;  // parks the sole worker on key "a"'s window
-  Service service(opts);
+  ShardRouter service(one_shard(opts));
   service.add_session("a", test_cloud(), model_path_);
   service.add_session("b", test_cloud(), model_path_);
 
@@ -295,11 +307,33 @@ TEST_F(ServiceTest, QueuedRequestPastItsDeadlineIsExpiredNotServed) {
   ASSERT_TRUE(fb);
   EXPECT_EQ(fb->get().status, Status::DeadlineExceeded);
   EXPECT_EQ(fa->get().status, Status::Ok);
-  EXPECT_GE(service.stats().expired, 1u);
+  EXPECT_GE(service.stats().total.expired, 1u);
+}
+
+TEST_F(ServiceTest, DefaultDeadlineExpiresAQueuedRequest) {
+  // QueuedRequestPastItsDeadlineIsExpiredNotServed, with the deadline
+  // coming from ServiceOptions::default_deadline instead of the caller.
+  ServiceOptions opts;
+  opts.workers = 1;
+  opts.batch_deadline = 400ms;  // parks the sole worker on key "a"'s window
+  opts.default_deadline = 25ms;
+  ShardRouter service(one_shard(opts));
+  service.add_session("a", test_cloud(), model_path_);
+  service.add_session("b", test_cloud(), model_path_);
+
+  // An explicit deadline takes precedence over the default.
+  auto fa = service.submit("a", {{1, 1, 1}},
+                           std::chrono::steady_clock::now() + 60s);
+  ASSERT_TRUE(fa);
+  auto fb = service.submit("b", {{2, 2, 1}});
+  ASSERT_TRUE(fb);
+  EXPECT_EQ(fb->get().status, Status::DeadlineExceeded);
+  EXPECT_EQ(fa->get().status, Status::Ok);
+  EXPECT_GE(service.stats().total.expired, 1u);
 }
 
 TEST_F(ServiceTest, GenerousDeadlinesAreServedNormally) {
-  Service service;
+  ShardRouter service;
   service.add_session("t0", test_cloud(), model_path_);
   auto f = service.submit("t0", {{1, 1, 1}},
                           std::chrono::steady_clock::now() + 60s);
@@ -308,7 +342,7 @@ TEST_F(ServiceTest, GenerousDeadlinesAreServedNormally) {
   EXPECT_EQ(resp.status, Status::Ok);
   ASSERT_EQ(resp.values.size(), 1u);
   EXPECT_TRUE(std::isfinite(resp.values[0]));
-  EXPECT_EQ(service.stats().expired, 0u);
+  EXPECT_EQ(service.stats().total.expired, 0u);
 }
 
 // --- graceful drain ---------------------------------------------------------
@@ -317,7 +351,7 @@ TEST_F(ServiceTest, BeginDrainRefusesAdmissionButServesTheBacklog) {
   ServiceOptions opts;
   opts.workers = 1;
   opts.batch_deadline = 100ms;
-  Service service(opts);
+  ShardRouter service(one_shard(opts));
   service.add_session("t0", test_cloud(), model_path_);
 
   auto backlog = service.submit("t0", {{1, 1, 1}});
@@ -325,7 +359,7 @@ TEST_F(ServiceTest, BeginDrainRefusesAdmissionButServesTheBacklog) {
   service.begin_drain();
   EXPECT_TRUE(service.draining());
   EXPECT_EQ(service.submit("t0", {{2, 2, 1}}), std::nullopt);
-  EXPECT_EQ(service.stats().drain_rejects, 1u);
+  EXPECT_EQ(service.stats().total.drain_rejects, 1u);
 
   // The already-admitted request still completes, inside the budget.
   EXPECT_TRUE(service.drain(10s));
@@ -338,7 +372,7 @@ TEST_F(ServiceTest, DrainNeverOrphansARequestEvenOnABlownBudget) {
   opts.workers = 1;
   opts.batch_deadline = 300ms;  // park the worker so a backlog builds
   opts.queue_max = 64;
-  Service service(opts);
+  ShardRouter service(one_shard(opts));
   service.add_session("a", test_cloud(), model_path_);
   service.add_session("b", test_cloud(), model_path_);
 
@@ -360,6 +394,54 @@ TEST_F(ServiceTest, DrainNeverOrphansARequestEvenOnABlownBudget) {
         << "code " << static_cast<int>(resp.status);
   }
   EXPECT_EQ(service.queue_depth(), 0u);
+}
+
+// --- hot swap under a quantized policy -------------------------------------
+
+TEST_F(ServiceTest, HotSwapNeverServesTheSupersededQuantizedModel) {
+  // Re-registering a key drops its resident model, and the reload often
+  // lands on the freed model's address. A worker's cached quantized copy
+  // must follow the model it was built from, not that address.
+  // Hermetic against env-armed failpoints (the chaos lane arms model_read
+  // and serve_infer process-wide): a classical answer is no model's.
+  struct FaultsCleared {
+    FaultsCleared() { vf::util::fault::clear(); }
+    ~FaultsCleared() { vf::util::fault::reload_env(); }
+    FaultsCleared(const FaultsCleared&) = delete;
+    FaultsCleared& operator=(const FaultsCleared&) = delete;
+  } const hermetic;
+  auto other = tiny_model();
+  other.net = vf::nn::Network::mlp(
+      static_cast<std::size_t>(vf::core::kFeatureDim), {16, 8},
+      static_cast<std::size_t>(vf::core::kTargetDimScalar), 11);
+  const std::string other_path = (dir_ / "other.vfmd").string();
+  other.save(other_path);
+  const std::vector<std::string> paths = {model_path_, other_path};
+  const std::vector<Vec3> probe = {{1.5, 2.5, 0.5}};
+
+  for (const auto policy :
+       {vf::nn::QuantPolicy::Int8, vf::nn::QuantPolicy::Fp16}) {
+    SCOPED_TRACE(vf::nn::to_string(policy));
+    ServiceOptions opts;
+    opts.workers = 1;
+    opts.quant = policy;
+    // Each model's answer from a tier that only ever held that model.
+    std::vector<double> want;
+    for (const auto& path : paths) {
+      ShardRouter fresh(one_shard(opts));
+      fresh.add_session("t", test_cloud(), path);
+      want.push_back(fresh.query("t", probe).values.at(0));
+    }
+    ASSERT_NE(want[0], want[1]);
+
+    ShardRouter service(one_shard(opts));
+    for (std::size_t swap = 0; swap < 200; ++swap) {
+      service.add_session("t", test_cloud(), paths[swap % 2]);
+      const auto resp = service.query("t", probe);
+      ASSERT_EQ(resp.values.size(), 1u);
+      EXPECT_EQ(resp.values[0], want[swap % 2]) << "swap " << swap;
+    }
+  }
 }
 
 }  // namespace

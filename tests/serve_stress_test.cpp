@@ -1,11 +1,11 @@
 // Serving-layer stress suites for the delicate concurrent paths audited in
 // the concurrency-contracts pass (DESIGN.md §11): ModelRegistry
 // resolve/evict/re-register churn under eviction pressure, RequestQueue
-// shutdown while producers and consumers are mid-flight, and Service stop
-// under load — each with the runtime lock-order detector armed in Log
-// mode, so any acquisition-order inversion the churn uncovers fails the
-// test instead of deadlocking a future schedule. TSan covers the same
-// suites via the sanitize label.
+// shutdown while producers and consumers are mid-flight, and a one-shard
+// ShardRouter stopped under load — each with the runtime lock-order
+// detector armed in Log mode, so any acquisition-order inversion the churn
+// uncovers fails the test instead of deadlocking a future schedule. TSan
+// covers the same suites via the sanitize label.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,7 @@
 #include "vf/core/model.hpp"
 #include "vf/serve/queue.hpp"
 #include "vf/serve/registry.hpp"
-#include "vf/serve/service.hpp"
+#include "vf/serve/router.hpp"
 #include "vf/util/fault.hpp"
 #include "vf/util/lock_order.hpp"
 
@@ -38,8 +38,8 @@ using vf::serve::PointRequest;
 using vf::serve::PointResponse;
 using vf::serve::RegistryOptions;
 using vf::serve::RequestQueue;
-using vf::serve::Service;
-using vf::serve::ServiceOptions;
+using vf::serve::RouterOptions;
+using vf::serve::ShardRouter;
 namespace lockorder = vf::util::lockorder;
 
 vf::core::FcnnModel tiny_model(unsigned seed) {
@@ -239,12 +239,13 @@ TEST_F(ServeStressTest, QueueShutdownUnderLoadResolvesEveryAcceptedRequest) {
 }
 
 TEST_F(ServeStressTest, ServiceStopUnderConcurrentClients) {
-  ServiceOptions opts;
+  RouterOptions ropts;
+  auto& opts = ropts.shard;
   opts.workers = 4;
   opts.queue_max = 32;
   opts.batch_max_points = 64;
   opts.batch_deadline = 100us;
-  Service service(opts);
+  ShardRouter service(ropts);
   service.add_session("t0", test_cloud(), save_model("t0", 7));
 
   std::atomic<bool> stop_clients{false};
@@ -277,7 +278,7 @@ TEST_F(ServeStressTest, ServiceStopUnderConcurrentClients) {
   for (auto& t : clients) t.join();
 
   EXPECT_GT(answered.load(), 0u);
-  const auto stats = service.stats();
+  const auto stats = service.stats().total;
   EXPECT_GE(stats.accepted, answered.load());
   EXPECT_EQ(service.queue_depth(), 0u);  // stop() drained the backlog
 }

@@ -82,8 +82,9 @@
 //   detached-thread  `.detach()` is banned everywhere: a detached thread
 //                    outlives the objects it captures, cannot be joined at
 //                    shutdown, and turns every static destructor into a
-//                    race. Own threads in a joinable pool (see
-//                    vf::serve::Service). Annotate a deliberate site with
+//                    race. Own threads in a joinable pool (see the serve
+//                    workers in src/serve/service.cpp). Annotate a
+//                    deliberate site with
 //                    `// vf-lint: allow(detached-thread) <reason>`.
 //
 //   unannotated-guard  A vf::util::Mutex / std::mutex member declared in a
@@ -92,18 +93,6 @@
 //                    usually a migration gap. Declare what it guards, or
 //                    annotate wrapper/detector internals with
 //                    `// vf-lint: allow(unannotated-guard) <reason>`.
-//
-//   shard-bypass     Code outside src/ — tools, bench, examples — must
-//                    front the serving layer with vf::serve::ShardRouter
-//                    (vf/serve/router.hpp), never a bare vf::serve::Service:
-//                    a direct Service skips consistent-hash routing, health
-//                    checks, manifest convergence, and the per-shard fault
-//                    salts, so "it worked in the tool" stops meaning "it
-//                    works in the tier". Read-only references (`const
-//                    serve::Service&`, e.g. from ShardRouter::shard()) are
-//                    fine; tests exercise Service directly and are not
-//                    scanned. Annotate a deliberate site with
-//                    `// vf-lint: allow(shard-bypass) <reason>`.
 //
 //   unbounded-wait   In src/serve, every park must be bounded or
 //                    predicate-checked: `.wait(mu)` without a predicate and
@@ -465,35 +454,6 @@ void lint_file(const fs::path& path, std::vector<Finding>& findings) {
            "site with vf-lint: allow(api-facade)"});
     }
 
-    // --- shard-bypass ---------------------------------------------------
-    if (outside_src && code.find("#include") == std::string::npos) {
-      const std::string token = "serve::Service";
-      for (std::size_t pos = code.find(token); pos != std::string::npos;
-           pos = code.find(token, pos + 1)) {
-        // Word boundaries: a preceding ':' is the vf:: qualifier; a
-        // trailing identifier char is ServiceOptions/ServiceStats.
-        if (pos > 0 && is_ident_char(code[pos - 1])) continue;
-        std::size_t after = pos + token.size();
-        if (after < code.size() && is_ident_char(code[after])) continue;
-        // A reference/pointer mention is read-only plumbing (the router's
-        // shard() accessor hands those out); only owning uses are flagged.
-        while (after < code.size() && code[after] == ' ') ++after;
-        if (after < code.size() && (code[after] == '&' || code[after] == '*')) {
-          continue;
-        }
-        if (!allowed("shard-bypass")) {
-          findings.push_back(
-              {file, lineno, "shard-bypass",
-               "direct vf::serve::Service use outside src/ — front the "
-               "serving tier with vf::serve::ShardRouter "
-               "(vf/serve/router.hpp) so routing, health, and manifest "
-               "convergence stay in one place, or annotate with "
-               "vf-lint: allow(shard-bypass)"});
-        }
-        break;  // one finding per line is enough
-      }
-    }
-
     // --- hot-alloc ------------------------------------------------------
     if (alloc_hot) {
       // Loop-header detection feeds the brace tracker below; `} while` is
@@ -619,8 +579,8 @@ void lint_file(const fs::path& path, std::vector<Finding>& findings) {
       findings.push_back(
           {file, lineno, "detached-thread",
            "detached thread — it outlives its captures and cannot be "
-           "joined at shutdown; own it in a joinable pool (see "
-           "vf::serve::Service), or annotate with "
+           "joined at shutdown; own it in a joinable pool (see the "
+           "serve workers in src/serve/service.cpp), or annotate with "
            "vf-lint: allow(detached-thread)"});
     }
 

@@ -14,8 +14,7 @@
 //   vfctl finetune    --model model.vfmd --in next.vti [--epochs 10]
 //                     [--finetune-case2]
 //   vfctl reconstruct --cloud cloud.vtp --like truth.vti --out recon.vti
-//                     (--model model.vfmd [--fallback-method shepard|nearest]
-//                      | --method linear|natural|...)
+//                     (--model model.vfmd | --method linear|natural|...)
 //                     [--quant none|fp32|fp16|int8] [--index auto|kdtree|grid_hash]
 //   vfctl eval        --truth truth.vti --recon recon.vti
 //   vfctl pipeline    --dataset ionization [--steps 8] [--dims 32x32x16]
@@ -36,12 +35,12 @@
 //                     [--lock-order]
 //
 // Every command prints what it did; `eval` prints SNR/PSNR/RMSE. `serve`
-// fronts a consistent-hash ShardRouter over --shards full Service
-// instances (DESIGN.md §13; --shards 1 is the single-instance tier) and
-// speaks two codecs: the line-delimited JSON protocol of
-// vf/serve/wire.hpp and the VFW1 binary framing. --wire picks the stdin
-// codec; TCP connections negotiate per connection by sniffing the first
-// bytes, so one --serve-port listener carries mixed-codec clients.
+// fronts a consistent-hash ShardRouter over --shards shards (DESIGN.md
+// §13; --shards 1 is the single-instance tier) and speaks two codecs: the
+// line-delimited JSON protocol of vf/serve/wire.hpp and the VFW1 binary
+// framing. --wire picks the stdin codec; TCP connections negotiate per
+// connection by sniffing the first bytes, so one --serve-port listener
+// carries mixed-codec clients.
 // ndjson examples (stdin or TCP):
 //   {"id": 1, "points": [[0.5, 0.5, 0.5]]}     -> point query
 //       (optional "deadline_ms": N; default from --deadline-ms, 0 = none)
@@ -76,8 +75,8 @@
 // loads N times total on transient I/O errors with exponential backoff
 // starting at --retry-delay-ms M (default 50). `reconstruct --model` never
 // hard-fails on a rotten model or cloud: bad samples are scrubbed, a
-// missing/corrupt model degrades to the classical --fallback-method, and
-// the degradation report is printed.
+// missing/corrupt model degrades to the modified Shepard grid, and the
+// degradation report is printed.
 
 #include <atomic>
 #include <chrono>
@@ -101,14 +100,12 @@
 #include "vf/api/pipeline.hpp"
 #include "vf/api/reconstruct.hpp"
 #include "vf/core/fcnn.hpp"
-#include "vf/core/resilient.hpp"
 #include "vf/data/registry.hpp"
 #include "vf/field/metrics.hpp"
 #include "vf/field/vtk_io.hpp"
 #include "vf/obs/obs.hpp"
 #include "vf/sampling/samplers.hpp"
 #include "vf/serve/router.hpp"
-#include "vf/serve/service.hpp"
 #include "vf/serve/wire.hpp"
 #include "vf/util/atomic_io.hpp"
 #include "vf/util/cli.hpp"
@@ -269,8 +266,6 @@ int cmd_reconstruct(const util::Cli& cli) {
   if (cli.has("model")) {
     ropts.model_path = cli.get("model", "");
     ropts.resilient = true;
-    ropts.fallback =
-        core::fallback_method_from(cli.get("fallback-method", "shepard"));
   } else {
     ropts.method = api::method_from_name(cli.get("method", "linear"));
   }
@@ -345,16 +340,7 @@ serve::wire::Response handle_request(serve::ShardRouter& router,
         router.shard_count() * router.options().shard.queue_max;
     info.resident_models = stats.total.registry.resident_models;
     info.open_breakers = stats.total.registry.open_breakers;
-    for (std::size_t i = 0; i < router.shard_count(); ++i) {
-      for (auto& [key, snap] : router.shard(i).registry().breaker_states()) {
-        // Shard-qualified keys in a multi-shard tier: breakers are
-        // per-shard state, and an operator chasing one needs to know
-        // which replica tripped.
-        info.breakers.emplace_back(
-            router.shard_count() > 1 ? std::to_string(i) + "/" + key : key,
-            snap);
-      }
-    }
+    info.breakers = router.breaker_states();
     if (g_live_pipeline != nullptr) {
       info.has_pipeline = true;
       info.pipeline_generation = g_live_pipeline->generation();
