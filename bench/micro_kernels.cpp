@@ -11,6 +11,8 @@
 #include "vf/interp/methods.hpp"
 #include "vf/nn/kernels.hpp"
 #include "vf/nn/matrix.hpp"
+#include "vf/nn/network.hpp"
+#include "vf/nn/quant.hpp"
 #include "vf/spatial/kdtree.hpp"
 #include "vf/util/rng.hpp"
 
@@ -116,6 +118,27 @@ void BM_FusedDense(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * 2 * rows * 512 * 23));
 }
 BENCHMARK(BM_FusedDense)->Arg(8192);
+
+// The paper network's fp64 forward over weights packed once (the grid
+// engine's and a served model's inference form), at serve micro-batch
+// sizes up to one grid tile.
+void BM_PackedForward(benchmark::State& state) {
+  auto rows = static_cast<std::size_t>(state.range(0));
+  const auto net = vf::nn::Network::mlp(23, {512, 256, 128, 64, 16}, 4, 7);
+  const vf::nn::QuantizedNetwork packed(net, vf::nn::QuantPolicy::None);
+  vf::nn::Matrix x(rows, 23);
+  vf::util::Rng rng(11);
+  for (double& v : x.data()) v = rng.uniform(-2.0, 2.0);
+  vf::nn::Matrix out;
+  vf::nn::QuantScratch scratch;
+  for (auto _ : state) {
+    packed.infer(x, out, scratch);
+    benchmark::DoNotOptimize(out.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * rows));
+}
+BENCHMARK(BM_PackedForward)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(2048);
 
 void BM_DelaunayBuild(benchmark::State& state) {
   auto pts = random_points(static_cast<std::size_t>(state.range(0)));

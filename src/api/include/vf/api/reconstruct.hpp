@@ -56,8 +56,9 @@ struct ReconstructOptions {
   Method method = Method::Auto;
 
   /// Model source for the FCNN method: a borrowed, caller-owned model
-  /// pointer wins over `model_path`; with only a path the model is loaded
-  /// lazily on first use and cached. Classical methods ignore both.
+  /// pointer wins over `model_path`. Either is read once, on first use,
+  /// when the engine packs its own copy of the weights; the borrowed model
+  /// need only live until then. Classical methods ignore both.
   const vf::core::FcnnModel* model = nullptr;
   std::string model_path;
 
@@ -127,10 +128,6 @@ class Reconstructor {
       const std::vector<vf::field::Vec3>& points);
 
   [[nodiscard]] const ReconstructOptions& options() const { return options_; }
-
-  /// The model this facade resolves to (borrowed or lazily loaded).
-  /// Throws if no model source is configured.
-  [[nodiscard]] const vf::core::FcnnModel& model();
 
  private:
   struct Impl;

@@ -64,17 +64,16 @@ vf::core::FcnnReconstructor& fcnn_engine(
     std::unique_ptr<vf::core::FcnnReconstructor>& engine,
     const ReconstructOptions& o) {
   if (!engine) {
-    FcnnModel model;
     if (o.model != nullptr) {
-      model = o.model->clone();
+      engine = std::make_unique<vf::core::FcnnReconstructor>(*o.model,
+                                                             o.engine);
     } else if (!o.model_path.empty()) {
-      model = FcnnModel::load(o.model_path);
+      engine = std::make_unique<vf::core::FcnnReconstructor>(
+          FcnnModel::load(o.model_path), o.engine);
     } else {
       throw std::invalid_argument(
           "vf::api::Reconstructor: FCNN method needs a model or model_path");
     }
-    engine = std::make_unique<vf::core::FcnnReconstructor>(std::move(model),
-                                                           o.engine);
   }
   return *engine;
 }
@@ -82,9 +81,10 @@ vf::core::FcnnReconstructor& fcnn_engine(
 }  // namespace
 
 struct Reconstructor::Impl {
-  /// The one FCNN engine, holding the one model copy (loaded from disk or
-  /// cloned from the borrowed pointer so it cannot dangle). Serves both
-  /// query shapes and owns their bound cloud.
+  /// The one FCNN engine. It packs the model (loaded from disk or read
+  /// through the borrowed pointer) once and holds that packed copy, so the
+  /// borrowed model need not outlive it. Serves both query shapes and owns
+  /// their bound cloud.
   std::unique_ptr<vf::core::FcnnReconstructor> fcnn;
 
   std::unique_ptr<vf::interp::Reconstructor> classical;
@@ -99,10 +99,6 @@ Reconstructor::Reconstructor(ReconstructOptions options)
 Reconstructor::~Reconstructor() = default;
 Reconstructor::Reconstructor(Reconstructor&&) noexcept = default;
 Reconstructor& Reconstructor::operator=(Reconstructor&&) noexcept = default;
-
-const FcnnModel& Reconstructor::model() {
-  return fcnn_engine(impl_->fcnn, options_).model();
-}
 
 ReconstructResult Reconstructor::reconstruct(const SampleCloud& cloud,
                                              const UniformGrid3& grid) {

@@ -60,8 +60,8 @@ EnsembleResult EnsembleReconstructor::reconstruct(const SampleCloud& cloud,
   BoundCloud bound;
   bound.bind(cloud, vf::spatial::IndexKind::Auto,
              static_cast<std::size_t>(n));
-  for (auto& model : members_) {
-    FcnnReconstructor rec(model.clone());
+  for (const auto& model : members_) {
+    FcnnReconstructor rec(model);
     ReconstructReport report;
     auto field = rec.reconstruct(bound, grid, report);
     for (std::int64_t i = 0; i < n; ++i) {

@@ -270,20 +270,22 @@ void account(ReconstructReport& report, std::size_t total,
   VF_OBS_COUNT("core.reconstruct.repaired_points", report.degraded_points);
 }
 
-}  // namespace
-
-FcnnReconstructor::FcnnReconstructor(FcnnModel model,
-                                     const ReconstructOptions& opts)
-    : model_(std::move(model)), opts_(opts) {
-  opts_.tile_size = std::max<std::size_t>(1, opts_.tile_size);
-  if (model_.out_norm.mean.empty() || model_.in_norm.mean.empty()) {
+/// `model`, checked for what the engine needs before its weights are
+/// packed.
+const FcnnModel& fitted(const FcnnModel& model) {
+  if (model.out_norm.mean.empty() || model.in_norm.mean.empty()) {
     throw std::invalid_argument(
         "FcnnReconstructor: model is missing normalisation constants");
   }
-  if (opts_.quant != vf::nn::QuantPolicy::None) {
-    // Quantize once; every tile shares the immutable packed weights.
-    qnet_ = vf::nn::QuantizedNetwork(model_.net, opts_.quant);
-  }
+  return model;
+}
+
+}  // namespace
+
+FcnnReconstructor::FcnnReconstructor(const FcnnModel& model,
+                                     const ReconstructOptions& opts)
+    : opts_(opts), model_(fitted(model), opts.quant) {
+  opts_.tile_size = std::max<std::size_t>(1, opts_.tile_size);
 }
 
 template <typename Emit>
@@ -320,7 +322,7 @@ std::size_t FcnnReconstructor::run_tiles(const BoundCloud& bound,
       // thread's sequential pipeline.
       degraded += predict_points(model_, bound.index(), bound.values(),
                                  ts.queries.data(), count, ts.values.data(),
-                                 ts.kernel, nullptr, &qnet_);
+                                 ts.kernel);
       for (std::size_t i = 0; i < count; ++i) {
         const auto g = b + static_cast<std::int64_t>(i);
         emit(idx ? idx[g] : g, ts.values[i], ts.kernel.Y, i);
@@ -384,7 +386,7 @@ std::vector<double> FcnnReconstructor::reconstruct_points(
   std::vector<double> out(points.size());
   const std::size_t degraded = predict_points(
       model_, bound_.index(), bound_.values(), points.data(), points.size(),
-      out.data(), point_scratch_, nullptr, &qnet_);
+      out.data(), point_scratch_);
   account(report, points.size(), degraded);
   return out;
 }

@@ -22,7 +22,6 @@
 #include "vf/core/model.hpp"
 #include "vf/core/options.hpp"
 #include "vf/core/report.hpp"
-#include "vf/nn/quant.hpp"
 #include "vf/nn/trainer.hpp"
 #include "vf/sampling/samplers.hpp"
 
@@ -114,11 +113,13 @@ vf::nn::TrainHistory fine_tune(FcnnModel& model,
 /// time, one tile per OpenMP thread on per-thread scratch, so memory is
 /// O(tile) rather than O(grid) — the paper's in-situ setting shares the
 /// node with the running simulation. The bound cloud is cached across
-/// calls (see BoundCloud), and ReconstructOptions::quant quantizes the
-/// model once at construction.
+/// calls (see BoundCloud), and the model's weights are packed once at
+/// construction, at ReconstructOptions::quant (see PackedModel).
 class FcnnReconstructor {
  public:
-  explicit FcnnReconstructor(FcnnModel model,
+  /// Packs `model`'s weights; the engine keeps no other copy, so `model`
+  /// may change or go away after.
+  explicit FcnnReconstructor(const FcnnModel& model,
                              const ReconstructOptions& opts = {});
 
   [[nodiscard]] std::string name() const { return "fcnn"; }
@@ -162,9 +163,6 @@ class FcnnReconstructor {
       const vf::sampling::SampleCloud& cloud,
       const vf::field::UniformGrid3& grid);
 
-  [[nodiscard]] FcnnModel& model() { return model_; }
-  [[nodiscard]] const FcnnModel& model() const { return model_; }
-
   /// Index builds so far; a repeat call with the same cloud adds none.
   [[nodiscard]] std::size_t tree_builds() const { return bound_.builds(); }
   /// High-water mark of per-thread scratch (doubles) across all grid
@@ -183,10 +181,8 @@ class FcnnReconstructor {
                         const vf::field::UniformGrid3& grid,
                         const std::int64_t* idx, std::int64_t n, Emit emit);
 
-  FcnnModel model_;
   ReconstructOptions opts_;
-  /// Quantized once at construction when opts_.quant != None.
-  vf::nn::QuantizedNetwork qnet_;
+  PackedModel model_;
   BoundCloud bound_;
   /// Point-mode scratch (grid tiles use per-thread scratch).
   PointScratch point_scratch_;

@@ -11,12 +11,16 @@
 //                   IndexKind::Auto picks another index kind, so repeated
 //                   queries of one sampling pay the scrub and build once.
 //   predict_points  five-neighbour features (paper §III-D) -> z-score
-//                   normalisation -> fp64 or quantized GEMM -> scalar
+//                   normalisation -> the network -> scalar
 //                   de-normalisation -> per-point modified-Shepard
 //                   repair (vf::interp::modified_shepard) of non-finite
-//                   outputs.
+//                   outputs. Over a PackedModel the network's weights were
+//                   packed once (fp64 or quantized); over an FcnnModel it
+//                   is the unpacked fp64 reference, Network::infer, which
+//                   repacks the weights on every call. At QuantPolicy::None
+//                   the two give the same answer bit for bit.
 //
-// A point's answer depends only on its own position: both GEMMs are
+// A point's answer depends only on its own position: every GEMM is
 // row-independent and the int8 path scales activations per row, so it
 // does not matter which grid tile or serve micro-batch carried the point.
 
@@ -79,9 +83,9 @@ class BoundCloud {
 };
 
 /// Reusable per-thread scratch for predict_points (feature matrix,
-/// activation ping-pong, SoA neighbour staging, quantized staging, repair
-/// neighbours). Buffers grow to the largest batch seen and are reused
-/// after.
+/// activation ping-pong for either network form, SoA neighbour staging,
+/// repair neighbours). Buffers grow to the largest batch seen and are
+/// reused after.
 struct PointScratch {
   vf::nn::Matrix X;
   vf::nn::Matrix Y;
@@ -102,19 +106,25 @@ struct PointScratch {
 /// over (already scrubbed) samples with `values`. Returns the number of
 /// points whose network output was non-finite and was replaced by the
 /// modified Shepard estimate (vf::interp::modified_shepard); when
-/// `repaired_rows` is given each such row is appended to it. A non-empty
-/// `qnet` runs the packed single-precision GEMM instead of the fp64
-/// network. After the call `scratch.Y` holds the normalised network
-/// outputs, one row per point (gradient columns included). Thread-safe for
-/// concurrent calls with distinct `scratch`/`out`; its kernels run on the
-/// caller's OpenMP team (one thread inside a parallel region or a serve
-/// worker).
+/// `repaired_rows` is given each such row is appended to it. After the
+/// call `scratch.Y` holds the normalised network outputs, one row per
+/// point (gradient columns included). Thread-safe for concurrent calls
+/// with distinct `scratch`/`out`; its kernels run on the caller's OpenMP
+/// team (one thread inside a parallel region or a serve worker).
+std::size_t predict_points(const PackedModel& model,
+                           const vf::spatial::NeighborIndex& index,
+                           const std::vector<double>& values,
+                           const vf::field::Vec3* points, std::size_t count,
+                           double* out, PointScratch& scratch,
+                           std::vector<std::size_t>* repaired_rows = nullptr);
+
+/// The same over a row-major model: the fp64 reference, which packs the
+/// weights again on every call.
 std::size_t predict_points(const FcnnModel& model,
                            const vf::spatial::NeighborIndex& index,
                            const std::vector<double>& values,
                            const vf::field::Vec3* points, std::size_t count,
                            double* out, PointScratch& scratch,
-                           std::vector<std::size_t>* repaired_rows = nullptr,
-                           const vf::nn::QuantizedNetwork* qnet = nullptr);
+                           std::vector<std::size_t>* repaired_rows = nullptr);
 
 }  // namespace vf::core

@@ -21,9 +21,11 @@ struct ReconstructOptions {
   /// 1024/4096/8192.
   std::size_t tile_size = 2048;
 
-  /// Inference precision. None runs the fp64 Network::infer path; Fp32 /
-  /// Fp16 / Int8 run the packed single-precision GEMM over pre-quantized
-  /// weights (see vf/nn/quant.hpp). Guarded by the SNR-regression suite.
+  /// Inference precision: the engine packs the model's weights once, at
+  /// construction, at this policy (see vf/nn/quant.hpp). None packs fp64
+  /// panels, bit-identical to Network::infer; Fp32 / Fp16 / Int8 pack
+  /// fp32 panels for the single-precision GEMM. Guarded by the
+  /// SNR-regression suite.
   vf::nn::QuantPolicy quant = vf::nn::QuantPolicy::None;
 
   /// Neighbour index selection. Auto picks grid-hash for dense grid-sweep

@@ -47,6 +47,19 @@ FcnnModel FcnnModel::clone() const {
   return copy;
 }
 
+PackedModel::PackedModel(const FcnnModel& model, vf::nn::QuantPolicy policy)
+    : net(model.net, policy),
+      in_norm(model.in_norm),
+      out_norm(model.out_norm),
+      with_gradients(model.with_gradients) {}
+
+std::size_t PackedModel::memory_bytes() const {
+  return sizeof(PackedModel) - sizeof(net) + net.memory_bytes() +
+         (in_norm.mean.size() + in_norm.stddev.size() +
+          out_norm.mean.size() + out_norm.stddev.size()) *
+             sizeof(double);
+}
+
 std::size_t FcnnModel::memory_bytes() const {
   std::size_t bytes = net.parameter_count() * sizeof(double);
   bytes += (in_norm.mean.size() + in_norm.stddev.size() +
@@ -122,17 +135,20 @@ void FcnnModel::save(const std::string& path) const {
   });
 }
 
-FcnnModel FcnnModel::load(const std::string& path) {
-  // One read, then every section is checked and parsed in place: the
-  // network's layers are copied once, from the file buffer into their
-  // matrices.
+namespace {
+
+/// Parse a model file: its metadata into `meta` (whose network stays
+/// empty), and its network's bytes to `network`. One read, then every
+/// section is checked and parsed in place.
+template <typename NetworkSink>
+void parse_model_file(const std::string& path, FcnnModel& meta,
+                      NetworkSink network) {
   const std::string bytes =
       vf::util::read_file(path, "FcnnModel::load", "model_read");
   vf::util::ByteReader in(bytes, "FcnnModel::load");
   if (in.view(4) != std::string_view(kMagic, 4)) {
     throw std::runtime_error("FcnnModel::load: bad magic in " + path);
   }
-  FcnnModel m;
   if (in.pod<std::uint32_t>() != kVersion) {
     // Not a known version marker: assume the legacy two-file layout
     // (metadata here, network in `path`.net), whose next bytes are the
@@ -141,15 +157,45 @@ FcnnModel FcnnModel::load(const std::string& path) {
     // from the real byte counts.
     vf::util::ByteReader legacy(std::string_view(bytes).substr(4),
                                 "FcnnModel::load");
-    read_metadata(legacy, m);
-    m.net = vf::nn::load_network(path + ".net");
-    return m;
+    read_metadata(legacy, meta);
+    const std::string net_path = path + ".net";
+    try {
+      network(vf::util::read_file(net_path, "load_network", "serialize_read"),
+              "load_network");
+    } catch (const std::runtime_error& e) {
+      throw std::runtime_error(std::string(e.what()) + " in " + net_path);
+    }
+    return;
   }
-  vf::util::ByteReader meta(in.section(), "FcnnModel::load");
-  read_metadata(meta, m);
+  vf::util::ByteReader section(in.section(), "FcnnModel::load");
+  read_metadata(section, meta);
   const std::string_view net_bytes = in.section();
   in.expect_end();
-  m.net = vf::nn::network_from_bytes(net_bytes, "FcnnModel::load");
+  network(net_bytes, "FcnnModel::load");
+}
+
+}  // namespace
+
+FcnnModel FcnnModel::load(const std::string& path) {
+  FcnnModel m;
+  parse_model_file(path, m, [&m](std::string_view bytes, const char* what) {
+    m.net = vf::nn::network_from_bytes(bytes, what);
+  });
+  return m;
+}
+
+PackedModel PackedModel::load(const std::string& path,
+                              vf::nn::QuantPolicy policy) {
+  FcnnModel meta;
+  PackedModel m;
+  parse_model_file(path, meta,
+                   [&](std::string_view bytes, const char* what) {
+                     m.net = vf::nn::packed_network_from_bytes(bytes, what,
+                                                               policy);
+                   });
+  m.in_norm = std::move(meta.in_norm);
+  m.out_norm = std::move(meta.out_norm);
+  m.with_gradients = meta.with_gradients;
   return m;
 }
 

@@ -1,14 +1,15 @@
 #pragma once
 // Compute-kernel layer under vf::nn: cache-blocked, packed-panel GEMM with a
 // register-tiled SIMD micro-kernel, plus the fused dense-layer forward used
-// by the streaming inference path.
+// by training and by the unpacked inference reference (Network::infer).
 //
 // Layout (BLIS-style):
-//   - the k dimension is split into Kc panels, the m dimension into Mc
-//     blocks; for each (Kc, Nc) slice the B panel is packed once into
-//     Kc x NR micro-panels and each thread packs its Mc x Kc block of A
-//     into MR x Kc micro-panels (packing also absorbs the A^T / B^T
-//     operand layouts, so all three GEMM variants share one micro-kernel);
+//   - the k dimension is split into Kc panels, the n dimension into Nc
+//     blocks and the m dimension into Mc bands; each (Nc, Kc) block of B is
+//     packed into Kc x NR micro-panels and each thread packs its band of A
+//     (the rows present, at most Mc) into MR x Kc micro-panels (packing
+//     also absorbs the A^T / B^T operand layouts, so all three GEMM
+//     variants share one micro-kernel);
 //   - the micro-kernel accumulates an MR x NR register tile with
 //     `#pragma omp simd` FMA chains over the packed panels, then writes the
 //     tile back once — the naive kernels instead re-streamed the whole B
@@ -19,6 +20,14 @@
 //     agree with the reference kernels to a few ulps (~1e-13 relative),
 //     not necessarily bit-for-bit.
 //
+// Two entry points run one loop over packed B blocks. gemm_blocked packs
+// each block of B as the loop reaches it (training, where the weights
+// change every step, and fused_dense_forward). gemm_packed reads a B that
+// pack_b_panels packed once — a model's inference form
+// (vf::nn::QuantizedNetwork), so a forward over a few rows pays no
+// repack. Both visit the same blocks in the same order, so their results
+// are equal bit for bit.
+//
 // The fused forward applies `+ bias` and optionally ReLU inside the tile
 // write-back of the last Kc panel, eliminating the separate full passes
 // over the output that add_row_vector + ReluLayer::forward used to make.
@@ -27,7 +36,7 @@
 
 namespace vf::nn {
 
-/// Fused inference dense layer: out = act(input . weights + bias) with
+/// Fused dense layer: out = act(input . weights + bias) with
 /// act = ReLU when `relu`, identity otherwise. Equivalent to
 /// gemm + add_row_vector + elementwise ReLU up to GEMM rounding (see the
 /// header note). `out` must not alias `input`.
@@ -54,6 +63,23 @@ void gemm_blocked(std::size_t m, std::size_t n, std::size_t k,
                   const double* a, std::size_t lda, bool a_trans,
                   const double* b, std::size_t ldb, bool b_trans, double* c,
                   std::size_t ldc, const double* bias, bool relu);
+
+/// Doubles pack_b_panels writes for a k x n B: its columns are
+/// zero-padded to a multiple of the register tile's width.
+[[nodiscard]] std::size_t packed_b_size(std::size_t k, std::size_t n);
+
+/// Pack B (k x n, row-major, leading dimension n) once, into
+/// packed_b_size(k, n) doubles at `dst`, in the order gemm_packed reads.
+/// `b` is read through memcpy, so it may be unaligned: a view into a model
+/// file's bytes packs without a row-major copy first.
+void pack_b_panels(std::size_t k, std::size_t n, const void* b, double* dst);
+
+/// gemm_blocked with A (m x k, leading dimension lda) not transposed and B
+/// already packed by pack_b_panels(k, n, ...): the same blocks, k order and
+/// epilogue, so the result equals gemm_blocked's bit for bit.
+void gemm_packed(std::size_t m, std::size_t n, std::size_t k, const double* a,
+                 std::size_t lda, const double* bpanels, double* c,
+                 std::size_t ldc, const double* bias, bool relu);
 
 }  // namespace detail
 

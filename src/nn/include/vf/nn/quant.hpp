@@ -1,13 +1,25 @@
 #pragma once
-// Quantized inference path: reduced-precision packed-GEMM forward pass.
+// A network's inference form: its weights packed once, at a precision.
 //
-// The reconstruction MLP is inference-bound once trained: ~370k FLOPs per
-// void point through the paper's 23-512-256-128-64-16-4 stack. This module
-// trades weight/activation precision for arithmetic density. Weights are
-// quantized ONCE into pre-packed micro-panels (fp32, fp16, or int8 + per-
-// output-column scales) and the forward pass runs a single-precision
-// register-tiled GEMM — twice the SIMD lanes of the fp64 path — with the
-// bias+ReLU epilogue fused, converting back to double only at the output.
+// Training changes the weights every step, so the training GEMMs pack
+// them on every call (detail::gemm_blocked). A model that only answers
+// queries — the grid engine's, or a served registry entry — packs them
+// once here, into the panel layout its micro-kernel reads, and every
+// thread then reads that one immutable copy. Packing is what dominated a
+// forward over a few rows: the paper network's 1.48 MB of weights were
+// repacked on every serve micro-batch.
+//
+// QuantPolicy::None packs fp64 panels for detail::gemm_packed; its output
+// equals Network::infer bit for bit (same Kc panel boundaries, same k
+// order). The reduced-precision policies trade weight/activation precision
+// for arithmetic density — ~370k FLOPs per void point through the paper's
+// 23-512-256-128-64-16-4 stack — running a single-precision register-tiled
+// GEMM with twice the SIMD lanes of the fp64 path and the bias+ReLU
+// epilogue fused, converting back to double only at the output. Their
+// weights are rounded onto the policy's grid (fp16, or int8 with
+// per-output-column scales) and decoded to fp32 panels once, at build; the
+// decode is exact, so the panels hold exactly the values a dedicated
+// half/int8 unit would see.
 //
 // Activations are staged in fp32 and, for the Fp16/Int8 policies, snapped
 // onto the storage grid between layers (round-trip through the fp16 codec /
@@ -37,7 +49,8 @@
 
 namespace vf::nn {
 
-/// Inference precision policy. None = the fp64 Network::infer path.
+/// Inference precision policy. None = fp64, bit-identical to
+/// Network::infer.
 enum class QuantPolicy : std::uint8_t { None = 0, Fp32 = 1, Fp16 = 2,
                                         Int8 = 3 };
 
@@ -51,72 +64,91 @@ enum class QuantPolicy : std::uint8_t { None = 0, Fp32 = 1, Fp16 = 2,
 [[nodiscard]] std::uint16_t fp16_encode(float value);
 [[nodiscard]] float fp16_decode(std::uint16_t h);
 
-/// Per-thread scratch for QuantizedNetwork::infer: fp32 activation
-/// ping-pong buffers plus the per-layer fp32 decode of fp16/int8 weight
-/// panels. The decode is cached across infer() calls keyed on the network's
-/// generation id, so a long-lived scratch (streaming tiles, serve workers)
-/// pays the decode once per quantized model, not once per chunk.
+/// One layer as QuantizedNetwork reads it: its kind and, for a dense
+/// layer, its parameters viewed in place — row-major `in x out` weights
+/// and `out` biases, as doubles with no alignment guarantee (a Matrix's
+/// storage, or a layer section of a model file's bytes). The viewed bytes
+/// need only outlive the QuantizedNetwork constructor.
+struct LayerView {
+  std::string kind;
+  std::size_t in = 0;
+  std::size_t out = 0;
+  const void* weights = nullptr;
+  const void* bias = nullptr;
+};
+
+/// Per-thread scratch for QuantizedNetwork::infer: activation ping-pong
+/// buffers, fp32 for the reduced-precision policies and fp64 for None.
+/// Each grows to (row chunk x the widest layer it holds) once and is
+/// reused after.
 struct QuantScratch {
   vf::util::AlignedVector<float> act_a;
   vf::util::AlignedVector<float> act_b;
-  std::vector<vf::util::AlignedVector<float>> wdec;
-  std::uint64_t wdec_generation = 0;
+  vf::util::AlignedVector<double> act64_a;
+  vf::util::AlignedVector<double> act64_b;
 
   /// Scratch footprint in double-equivalents (peak-memory accounting).
   [[nodiscard]] std::size_t element_count() const {
-    std::size_t floats = act_a.capacity() + act_b.capacity();
-    for (const auto& w : wdec) floats += w.capacity();
-    return (floats + 1) / 2;
+    return (act_a.capacity() + act_b.capacity() + 1) / 2 +
+           act64_a.capacity() + act64_b.capacity();
   }
 };
 
-/// An immutable reduced-precision copy of a dense/ReLU Network, weights
-/// pre-packed into the panel layout the fp32 micro-kernel consumes.
-/// Queries are const and thread-safe; each caller brings a QuantScratch.
+/// A dense/ReLU network packed once at a QuantPolicy (see the header
+/// note). Immutable: queries are const and thread-safe, each caller
+/// bringing a QuantScratch.
 class QuantizedNetwork {
  public:
   QuantizedNetwork() = default;
 
-  /// Quantize `net` (must be a dense/ReLU stack, e.g. Network::mlp).
-  /// Throws std::invalid_argument on unsupported layers or policy None.
+  /// Pack `net` (must be a dense/ReLU stack, e.g. Network::mlp). Throws
+  /// std::invalid_argument on unsupported layers or widths that do not
+  /// chain.
   QuantizedNetwork(const Network& net, QuantPolicy policy);
+
+  /// Pack layers viewed in place; the same checks as above.
+  QuantizedNetwork(const std::vector<LayerView>& layers, QuantPolicy policy);
 
   [[nodiscard]] bool empty() const { return layers_.empty(); }
   [[nodiscard]] QuantPolicy policy() const { return policy_; }
   [[nodiscard]] std::size_t layer_count() const { return layers_.size(); }
 
-  /// Resident bytes of the packed weights/biases (model-registry budget).
+  /// Resident bytes of the packed weights and biases plus this object,
+  /// counted as FcnnModel::memory_bytes counts a row-major model.
   [[nodiscard]] std::size_t memory_bytes() const;
-
-  /// Process-unique id of this quantization (0 = default-constructed).
-  /// QuantScratch keys its weight-decode cache on it; a pointer key would
-  /// go stale when a network is rebuilt in place (serve model eviction).
-  [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
   /// Forward pass: `input` (n x in_features, double) -> `output` (n x
   /// out_features, double). Rows stream through in `row_batch` chunks so
-  /// the fp32 staging stays cache-sized. `output` must not alias `input`.
+  /// the activation staging stays cache-sized. `output` must not alias
+  /// `input`.
   void infer(const Matrix& input, Matrix& output, QuantScratch& scratch,
              std::size_t row_batch = 8192) const;
 
  private:
+  /// One dense layer (with its ReLU fused): its packed panels, then its
+  /// biases, in fp64 under None and in fp32 otherwise (the other vector
+  /// stays empty), starting at element `at`, the first 64-byte boundary.
+  /// The vectors are plain allocations with a cache line of slack: with
+  /// aligned allocations, a registry that kept loading and evicting models
+  /// never reused the freed panels, and its heap grew by most of a model
+  /// per load.
   struct QLayer {
     std::size_t in = 0;
     std::size_t out = 0;
-    std::size_t out_padded = 0;  // out rounded up to the panel width
     bool relu = false;
-    // Exactly one of wf / wh / wq holds the packed panels per policy.
-    vf::util::AlignedVector<float> wf;
-    vf::util::AlignedVector<std::uint16_t> wh;
-    vf::util::AlignedVector<std::int8_t> wq;
-    vf::util::AlignedVector<float> scale;  // int8 per-output-column scales
-    vf::util::AlignedVector<float> bias;
+    std::vector<double> f64;
+    std::vector<float> f32;
+    std::size_t at = 0;
   };
+
+  void infer_fp64(const Matrix& input, Matrix& output, QuantScratch& scratch,
+                  std::size_t row_batch) const;
+  void infer_fp32(const Matrix& input, Matrix& output, QuantScratch& scratch,
+                  std::size_t row_batch) const;
 
   std::vector<QLayer> layers_;
   QuantPolicy policy_ = QuantPolicy::None;
   std::size_t max_width_ = 0;   // widest staged activation row
-  std::uint64_t generation_ = 0;
 };
 
 }  // namespace vf::nn

@@ -19,6 +19,7 @@
 #include <string_view>
 
 #include "vf/nn/network.hpp"
+#include "vf/nn/quant.hpp"
 
 namespace vf::nn {
 
@@ -34,6 +35,15 @@ Network load_network(const std::string& path);
 /// network_from_bytes parses a view of the container's buffer in place.
 std::string network_to_bytes(const Network& net);
 Network network_from_bytes(std::string_view bytes, const char* what);
+
+/// Parse the same layout, with the same checks, straight into the packed
+/// inference form: each dense layer is packed from its section of `bytes`
+/// in place, so the weights are written once, never as a row-major copy
+/// first. A network the packed form does not hold (any layer besides
+/// dense and ReLU) throws std::invalid_argument, as QuantizedNetwork does.
+QuantizedNetwork packed_network_from_bytes(std::string_view bytes,
+                                           const char* what,
+                                           QuantPolicy policy);
 
 /// Save only the last `n` dense layers' weights (Case-2 per-timestep delta).
 void save_dense_tail(const Network& net, int n, const std::string& path);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 
 #include "vf/obs/obs.hpp"
@@ -38,6 +39,7 @@ constexpr std::size_t MC = 128;
 constexpr std::size_t KC = 192;
 constexpr std::size_t NC = 4096;
 static_assert(MC % MR == 0);
+static_assert(NC % NR == 0);  // only the last Nc block pads its columns
 
 /// Pack op(A) rows [i0, i0+mc) x cols [p0, p0+kc) into contiguous MR x kc
 /// micro-panels (column-of-the-panel major), zero-padding the row
@@ -68,23 +70,31 @@ void pack_a(const double* a, std::size_t lda, bool trans, std::size_t i0,
 
 /// Pack op(B) rows [p0, p0+kc) x cols [j0, j0+nc) into contiguous kc x NR
 /// micro-panels, zero-padding the column remainder. When `trans`, B is
-/// stored (n x k).
-void pack_b(const double* b, std::size_t ldb, bool trans, std::size_t p0,
-            std::size_t kc, std::size_t j0, std::size_t nc, double* dst) {
+/// stored (n x k). B is read through memcpy, so it need not be aligned.
+void pack_b(const unsigned char* b, std::size_t ldb, bool trans,
+            std::size_t p0, std::size_t kc, std::size_t j0, std::size_t nc,
+            double* dst) {
+  constexpr std::size_t D = sizeof(double);
   for (std::size_t jr = 0; jr < nc; jr += NR) {
     const std::size_t nr = std::min(NR, nc - jr);
     if (trans) {
       for (std::size_t j = 0; j < nr; ++j) {
-        const double* src = b + (j0 + jr + j) * ldb + p0;
-        for (std::size_t l = 0; l < kc; ++l) dst[l * NR + j] = src[l];
+        const unsigned char* src = b + ((j0 + jr + j) * ldb + p0) * D;
+        for (std::size_t l = 0; l < kc; ++l) {
+          std::memcpy(dst + l * NR + j, src + l * D, D);
+        }
       }
       for (std::size_t j = nr; j < NR; ++j) {
         for (std::size_t l = 0; l < kc; ++l) dst[l * NR + j] = 0.0;
       }
     } else {
       for (std::size_t l = 0; l < kc; ++l) {
-        const double* src = b + (p0 + l) * ldb + j0 + jr;
-        for (std::size_t j = 0; j < nr; ++j) dst[l * NR + j] = src[j];
+        const unsigned char* src = b + ((p0 + l) * ldb + j0 + jr) * D;
+        if (nr == NR) {
+          std::memcpy(dst + l * NR, src, NR * D);  // fixed size: inlined
+          continue;
+        }
+        std::memcpy(dst + l * NR, src, nr * D);
         for (std::size_t j = nr; j < NR; ++j) dst[l * NR + j] = 0.0;
       }
     }
@@ -138,17 +148,45 @@ void write_tile(const double* acc, double* c, std::size_t ldc, std::size_t mr,
   }
 }
 
-}  // namespace
+constexpr std::size_t round_up(std::size_t v, std::size_t step) {
+  return (v + step - 1) / step * step;
+}
 
-void gemm_blocked(std::size_t m, std::size_t n, std::size_t k,
-                  const double* a, std::size_t lda, bool a_trans,
-                  const double* b, std::size_t ldb, bool b_trans, double* c,
-                  std::size_t ldc, const double* bias, bool relu) {
-  // Leading dimensions are row strides of the *stored* operands: op(A) is
-  // (m x k) but A is stored (k x m) when transposed, and likewise for B.
-  VF_REQUIRE(lda >= (a_trans ? m : k), "gemm_blocked: lda below logical row");
-  VF_REQUIRE(ldb >= (b_trans ? k : n), "gemm_blocked: ldb below logical row");
-  VF_REQUIRE(ldc >= n, "gemm_blocked: ldc below output row");
+/// One MC-row band of one (Nc, Kc) block: pack the band's rows of op(A),
+/// then run the register tiles over every packed B micro-panel. `c` and
+/// `bias` are pre-offset to the block's first column; `bias`/`relu` are
+/// set only on the block's last Kc panel.
+void multiply_band(std::size_t ic, std::size_t m, std::size_t nc,
+                   std::size_t pc, std::size_t kc, const double* a,
+                   std::size_t lda, bool a_trans, const double* bpanel,
+                   double* apack, double* c, std::size_t ldc, bool first,
+                   const double* bias, bool relu) {
+  const std::size_t mc = std::min(MC, m - ic);
+  pack_a(a, lda, a_trans, ic, mc, pc, kc, apack);
+  for (std::size_t jr = 0; jr < nc; jr += NR) {
+    const std::size_t nr = std::min(NR, nc - jr);
+    const double* bp = bpanel + (jr / NR) * kc * NR;
+    for (std::size_t ir = 0; ir < mc; ir += MR) {
+      const std::size_t mr = std::min(MR, mc - ir);
+      const double* ap = apack + (ir / MR) * kc * MR;
+      alignas(64) double acc[MR * NR] = {};
+      micro_kernel(kc, ap, bp, acc);
+      write_tile(acc, c + (ic + ir) * ldc + jr, ldc, mr, nr, !first,
+                 bias ? bias + jr : nullptr, relu);
+    }
+  }
+}
+
+/// The one loop over packed B blocks, shared by the fresh path (which
+/// packs each block as it goes) and the served path (whose blocks were
+/// packed once): for every (Nc, Kc) block, jc then pc, `panel(jc, nc, pc,
+/// kc)` yields the block as kc x NR micro-panels and each MC-row band of C
+/// accumulates its product. Bands split across the OpenMP team only when
+/// the product is large enough to pay for the fork.
+template <typename Panel>
+void gemm_loop(std::size_t m, std::size_t n, std::size_t k, const double* a,
+               std::size_t lda, bool a_trans, Panel panel, double* c,
+               std::size_t ldc, const double* bias, bool relu) {
   // Every dense forward/backward funnels through here, so these two
   // counters cover the model's entire multiply-add volume.
   VF_OBS_COUNT("nn.gemm.calls", 1);
@@ -165,13 +203,15 @@ void gemm_blocked(std::size_t m, std::size_t n, std::size_t k,
     }
     return;
   }
-
   const bool threads =
       vf::util::thread_count() > 1 && m * n * k >= kParallelWork;
-  const std::size_t max_nc = std::min(NC, n);
-  const std::size_t max_kc = std::min(KC, k);
-  vf::util::AlignedVector<double> bpack(((max_nc + NR - 1) / NR) * NR *
-                                        max_kc);
+  // The packed A band holds the rows present, not a full MC block: a
+  // served micro-batch of a few rows packs (and allocates) a few rows.
+  const std::size_t apack_size =
+      round_up(std::min(MC, m), MR) * std::min(KC, k);
+  const auto ic_blocks = static_cast<std::int64_t>((m + MC - 1) / MC);
+  auto serial_apack =
+      vf::util::make_uninit_buffer<double>(threads ? 0 : apack_size);
 
   for (std::size_t jc = 0; jc < n; jc += NC) {
     const std::size_t nc = std::min(NC, n - jc);
@@ -179,36 +219,86 @@ void gemm_blocked(std::size_t m, std::size_t n, std::size_t k,
       const std::size_t kc = std::min(KC, k - pc);
       const bool first = pc == 0;
       const bool last = pc + kc == k;
-      pack_b(b, ldb, b_trans, pc, kc, jc, nc, bpack.data());
-
-      const auto ic_blocks = static_cast<std::int64_t>((m + MC - 1) / MC);
+      const double* bp = panel(jc, nc, pc, kc);
+      const double* block_bias = last && bias ? bias + jc : nullptr;
+      const bool block_relu = last && relu;
+      if (!threads) {
+        for (std::size_t ic = 0; ic < m; ic += MC) {
+          multiply_band(ic, m, nc, pc, kc, a, lda, a_trans, bp,
+                        serial_apack.get(), c + jc, ldc, first, block_bias,
+                        block_relu);
+        }
+        continue;
+      }
       // vf-par: per-thread-scratch — apack is thread-local; each ic-block
-      // writes a disjoint row band of C; bpack is read-only in the region.
-#pragma omp parallel if (threads)
+      // writes a disjoint row band of C; the B block is read-only here.
+#pragma omp parallel
       {
-        vf::util::AlignedVector<double> apack(MC * kc);
+        auto apack = vf::util::make_uninit_buffer<double>(apack_size);
 #pragma omp for schedule(static)
         for (std::int64_t icb = 0; icb < ic_blocks; ++icb) {
-          const std::size_t ic = static_cast<std::size_t>(icb) * MC;
-          const std::size_t mc = std::min(MC, m - ic);
-          pack_a(a, lda, a_trans, ic, mc, pc, kc, apack.data());
-          for (std::size_t jr = 0; jr < nc; jr += NR) {
-            const std::size_t nr = std::min(NR, nc - jr);
-            const double* bp = bpack.data() + (jr / NR) * kc * NR;
-            for (std::size_t ir = 0; ir < mc; ir += MR) {
-              const std::size_t mr = std::min(MR, mc - ir);
-              const double* ap = apack.data() + (ir / MR) * kc * MR;
-              alignas(64) double acc[MR * NR] = {};
-              micro_kernel(kc, ap, bp, acc);
-              write_tile(acc, c + (ic + ir) * ldc + jc + jr, ldc, mr, nr,
-                         !first, last && bias ? bias + jc + jr : nullptr,
-                         last && relu);
-            }
-          }
+          multiply_band(static_cast<std::size_t>(icb) * MC, m, nc, pc, kc, a,
+                        lda, a_trans, bp, apack.get(), c + jc, ldc, first,
+                        block_bias, block_relu);
         }
       }
     }
   }
+}
+
+}  // namespace
+
+std::size_t packed_b_size(std::size_t k, std::size_t n) {
+  return k * round_up(n, NR);
+}
+
+void pack_b_panels(std::size_t k, std::size_t n, const void* b,
+                   double* dst) {
+  const auto* bytes = static_cast<const unsigned char*>(b);
+  for (std::size_t jc = 0; jc < n; jc += NC) {
+    const std::size_t nc = std::min(NC, n - jc);
+    for (std::size_t pc = 0; pc < k; pc += KC) {
+      const std::size_t kc = std::min(KC, k - pc);
+      pack_b(bytes, n, false, pc, kc, jc, nc,
+             dst + jc * k + pc * round_up(nc, NR));
+    }
+  }
+}
+
+void gemm_packed(std::size_t m, std::size_t n, std::size_t k, const double* a,
+                 std::size_t lda, const double* bpanels, double* c,
+                 std::size_t ldc, const double* bias, bool relu) {
+  VF_REQUIRE(lda >= k, "gemm_packed: lda below logical row");
+  VF_REQUIRE(ldc >= n, "gemm_packed: ldc below output row");
+  gemm_loop(
+      m, n, k, a, lda, false,
+      [&](std::size_t jc, std::size_t nc, std::size_t pc, std::size_t) {
+        return bpanels + jc * k + pc * round_up(nc, NR);
+      },
+      c, ldc, bias, relu);
+}
+
+void gemm_blocked(std::size_t m, std::size_t n, std::size_t k,
+                  const double* a, std::size_t lda, bool a_trans,
+                  const double* b, std::size_t ldb, bool b_trans, double* c,
+                  std::size_t ldc, const double* bias, bool relu) {
+  // Leading dimensions are row strides of the *stored* operands: op(A) is
+  // (m x k) but A is stored (k x m) when transposed, and likewise for B.
+  VF_REQUIRE(lda >= (a_trans ? m : k), "gemm_blocked: lda below logical row");
+  VF_REQUIRE(ldb >= (b_trans ? k : n), "gemm_blocked: ldb below logical row");
+  VF_REQUIRE(ldc >= n, "gemm_blocked: ldc below output row");
+  // Pack each block of B as the loop reaches it, into one block-sized
+  // buffer: op(B) may be a large training operand, never packed whole.
+  auto bpack = vf::util::make_uninit_buffer<double>(
+      round_up(std::min(NC, n), NR) * std::min(KC, k));
+  const auto* bytes = reinterpret_cast<const unsigned char*>(b);
+  gemm_loop(
+      m, n, k, a, lda, a_trans,
+      [&](std::size_t jc, std::size_t nc, std::size_t pc, std::size_t kc) {
+        pack_b(bytes, ldb, b_trans, pc, kc, jc, nc, bpack.get());
+        return static_cast<const double*>(bpack.get());
+      },
+      c, ldc, bias, relu);
 }
 
 }  // namespace detail

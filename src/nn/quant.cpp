@@ -1,9 +1,9 @@
 #include "vf/nn/quant.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 
 #include <omp.h>
@@ -13,6 +13,7 @@
 #endif
 
 #include "vf/nn/dense.hpp"
+#include "vf/nn/kernels.hpp"
 #include "vf/obs/obs.hpp"
 #include "vf/util/contract.hpp"
 #include "vf/util/parallel.hpp"
@@ -109,6 +110,11 @@ constexpr std::size_t QMR = 8;
 constexpr std::size_t QNR = 32;
 constexpr std::size_t QMC = 128;  // packed A row block (QMC x k floats)
 
+/// `n` columns rounded up to whole QNR-wide weight panels.
+constexpr std::size_t panel_width(std::size_t n) {
+  return (n + QNR - 1) / QNR * QNR;
+}
+
 // Below this many multiply-adds the fork/join cost dominates any speedup.
 constexpr std::size_t kParallelWork = 1 << 15;
 
@@ -166,37 +172,53 @@ void write_tile_f32(const float* acc, float* c, std::size_t ldc,
   }
 }
 
+/// Rows [ic, ic+QMC) of C = A * Wpanels + bias (optional ReLU).
+void sgemm_band(std::size_t ic, std::size_t m, std::size_t n, std::size_t k,
+                const float* a, const float* wpanels, const float* bias,
+                bool relu, float* apack, float* c) {
+  const std::size_t mc = std::min(QMC, m - ic);
+  pack_a_f32(a, k, ic, mc, k, apack);
+  for (std::size_t jr = 0; jr < n; jr += QNR) {
+    const std::size_t nr = std::min(QNR, n - jr);
+    const float* bp = wpanels + (jr / QNR) * k * QNR;
+    for (std::size_t ir = 0; ir < mc; ir += QMR) {
+      const std::size_t mr = std::min(QMR, mc - ir);
+      const float* ap = apack + (ir / QMR) * k * QMR;
+      alignas(64) float acc[QMR * QNR] = {};
+      micro_kernel_f32(k, ap, bp, acc);
+      write_tile_f32(acc, c + (ic + ir) * n + jr, n, mr, nr, bias + jr, relu);
+    }
+  }
+}
+
 /// C(m x n) = A(m x k, row-major) * Wpanels + bias, optional ReLU. Wpanels
-/// is the pre-packed (k x QNR)-panel weight layout built at quantization.
+/// is the (k x QNR)-panel weight layout packed at build.
 void sgemm_panels(std::size_t m, std::size_t n, std::size_t k,
                   const float* a, const float* wpanels, const float* bias,
                   bool relu, float* c) {
   VF_OBS_COUNT("nn.quant.gemm_flops", 2 * m * n * k);
   const bool threads =
       vf::util::thread_count() > 1 && m * n * k >= kParallelWork;
+  // The packed A band holds the rows present (at most QMC), and packing
+  // writes all of it, so it is neither full-block sized nor zero-filled.
+  const std::size_t apack_size = (std::min(QMC, m) + QMR - 1) / QMR * QMR * k;
+  if (!threads) {
+    auto apack = vf::util::make_uninit_buffer<float>(apack_size);
+    for (std::size_t ic = 0; ic < m; ic += QMC) {
+      sgemm_band(ic, m, n, k, a, wpanels, bias, relu, apack.get(), c);
+    }
+    return;
+  }
   const auto ic_blocks = static_cast<std::int64_t>((m + QMC - 1) / QMC);
   // vf-par: per-thread-scratch — apack is thread-local; each ic-block
   // writes a disjoint row band of C; the packed weights are read-only.
-#pragma omp parallel if (threads)
+#pragma omp parallel
   {
-    vf::util::AlignedVector<float> apack(QMC * k);
+    auto apack = vf::util::make_uninit_buffer<float>(apack_size);
 #pragma omp for schedule(static)
     for (std::int64_t icb = 0; icb < ic_blocks; ++icb) {
-      const std::size_t ic = static_cast<std::size_t>(icb) * QMC;
-      const std::size_t mc = std::min(QMC, m - ic);
-      pack_a_f32(a, k, ic, mc, k, apack.data());
-      for (std::size_t jr = 0; jr < n; jr += QNR) {
-        const std::size_t nr = std::min(QNR, n - jr);
-        const float* bp = wpanels + (jr / QNR) * k * QNR;
-        for (std::size_t ir = 0; ir < mc; ir += QMR) {
-          const std::size_t mr = std::min(QMR, mc - ir);
-          const float* ap = apack.data() + (ir / QMR) * k * QMR;
-          alignas(64) float acc[QMR * QNR] = {};
-          micro_kernel_f32(k, ap, bp, acc);
-          write_tile_f32(acc, c + (ic + ir) * n + jr, n, mr, nr, bias + jr,
-                         relu);
-        }
-      }
+      sgemm_band(static_cast<std::size_t>(icb) * QMC, m, n, k, a, wpanels,
+                 bias, relu, apack.get(), c);
     }
   }
 }
@@ -215,19 +237,6 @@ void snap_fp16(float* v, std::size_t n) {
   }
 #endif
   for (; i < n; ++i) v[i] = fp16_decode(fp16_encode(v[i]));
-}
-
-/// Decode a packed fp16 panel buffer to fp32.
-void decode_fp16(const std::uint16_t* h, std::size_t n, float* out) {
-  std::size_t i = 0;
-#if defined(__F16C__)
-  for (; i + 8 <= n; i += 8) {
-    // vf-lint: allow(cast) unaligned SIMD load intrinsic takes __m128i*
-    const auto* src = reinterpret_cast<const __m128i*>(h + i);
-    _mm256_storeu_ps(out + i, _mm256_cvtph_ps(_mm_loadu_si128(src)));
-  }
-#endif
-  for (; i < n; ++i) out[i] = fp16_decode(h[i]);
 }
 
 /// Snap each of `rows` rows of `width` values onto its own symmetric int8
@@ -250,96 +259,138 @@ void snap_int8(float* v, std::size_t rows, std::size_t width) {
   }
 }
 
-/// Monotone source for QuantizedNetwork::generation(); 0 stays reserved
-/// for the default-constructed (empty) network.
-std::atomic<std::uint64_t> g_quant_generation{0};
+/// Element `i` of doubles viewed as possibly unaligned bytes.
+double load_double(const void* base, std::size_t i) {
+  double v = 0.0;
+  std::memcpy(&v, static_cast<const unsigned char*>(base) + i * sizeof v,
+              sizeof v);
+  return v;
+}
+
+/// Pack one dense layer's weights into fp32 (k x QNR) panels, zero-padded
+/// past `out`, each rounded onto `policy`'s grid and decoded once here:
+/// fp16 through the codec, int8 as the integer times its column's scale.
+void pack_fp32_panels(const LayerView& l, QuantPolicy policy, float* dst) {
+  const std::size_t out_padded = panel_width(l.out);
+  const std::size_t panel_elems = l.in * out_padded;
+  // Panel layout: jr-th panel holds columns [jr*QNR, (jr+1)*QNR) for all
+  // k rows, row-major within the panel.
+  auto column = [&](std::size_t idx) {
+    return idx / (l.in * QNR) * QNR + idx % QNR;
+  };
+  auto panel_value = [&](std::size_t idx) -> double {
+    const std::size_t krow = idx % (l.in * QNR) / QNR;
+    const std::size_t col = column(idx);
+    return col < l.out ? load_double(l.weights, krow * l.out + col) : 0.0;
+  };
+  switch (policy) {
+    case QuantPolicy::Fp32:
+      for (std::size_t e = 0; e < panel_elems; ++e) {
+        dst[e] = static_cast<float>(panel_value(e));
+      }
+      break;
+    case QuantPolicy::Fp16:
+      for (std::size_t e = 0; e < panel_elems; ++e) {
+        dst[e] = fp16_decode(fp16_encode(static_cast<float>(panel_value(e))));
+      }
+      break;
+    case QuantPolicy::Int8: {
+      // Symmetric per-output-column scales preserve each neuron's dynamic
+      // range independently (the standard weight-quantization granularity).
+      std::vector<float> scale(out_padded, 1.0f);
+      for (std::size_t c = 0; c < l.out; ++c) {
+        double amax = 0.0;
+        for (std::size_t krow = 0; krow < l.in; ++krow) {
+          amax = std::max(amax,
+                          std::fabs(load_double(l.weights, krow * l.out + c)));
+        }
+        scale[c] = amax > 0.0 ? static_cast<float>(amax / 127.0) : 1.0f;
+      }
+      for (std::size_t e = 0; e < panel_elems; ++e) {
+        const float s = scale[column(e)];
+        const auto q = static_cast<std::int8_t>(std::clamp(
+            std::lround(panel_value(e) / static_cast<double>(s)), -127L,
+            127L));
+        dst[e] = static_cast<float>(q) * s;
+      }
+      break;
+    }
+    case QuantPolicy::None:
+      break;  // fp64 panels are packed by detail::pack_b_panels
+  }
+}
+
+/// Size `v` for `n` elements plus a cache line of slack and return the
+/// first 64-byte boundary in it, whose index goes to `at`.
+template <typename T>
+T* line_start(std::vector<T>& v, std::size_t n, std::size_t& at) {
+  constexpr std::size_t kLine = 64;
+  v.resize(n + kLine / sizeof(T));
+  void* p = v.data();
+  std::size_t space = v.size() * sizeof(T);
+  T* start = static_cast<T*>(std::align(kLine, n * sizeof(T), p, space));
+  at = static_cast<std::size_t>(start - v.data());
+  return start;
+}
+
+std::vector<LayerView> layer_views(const Network& net) {
+  std::vector<LayerView> views(net.layer_count());
+  for (std::size_t i = 0; i < net.layer_count(); ++i) {
+    const Layer& l = net.layer(i);
+    views[i].kind = l.kind();
+    if (l.kind() != "dense") continue;
+    const auto& d = static_cast<const DenseLayer&>(l);
+    views[i].in = d.in_features();
+    views[i].out = d.out_features();
+    views[i].weights = d.weights().data().data();
+    views[i].bias = d.bias().data().data();
+  }
+  return views;
+}
 
 }  // namespace
 
 QuantizedNetwork::QuantizedNetwork(const Network& net, QuantPolicy policy)
-    : policy_(policy),
-      generation_(g_quant_generation.fetch_add(1,
-                                               std::memory_order_relaxed) +
-                  1) {
-  if (policy == QuantPolicy::None) {
-    throw std::invalid_argument(
-        "QuantizedNetwork: policy None means the fp64 path; nothing to build");
-  }
-  std::size_t i = 0;
-  while (i < net.layer_count()) {
-    const Layer& l = net.layer(i);
-    if (l.kind() != "dense") {
+    : QuantizedNetwork(layer_views(net), policy) {}
+
+QuantizedNetwork::QuantizedNetwork(const std::vector<LayerView>& layers,
+                                   QuantPolicy policy)
+    : policy_(policy) {
+  // Each dense layer absorbs a ReLU that follows it.
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    const LayerView& l = layers[i];
+    if (l.kind != "dense") {
       throw std::invalid_argument(
-          "QuantizedNetwork: unsupported layer kind '" + l.kind() +
+          "QuantizedNetwork: unsupported layer kind '" + l.kind +
           "' (dense/relu stacks only)");
     }
-    const auto& d = static_cast<const DenseLayer&>(l);
+    if (l.in == 0 || l.out == 0 ||
+        (!layers_.empty() && layers_.back().out != l.in)) {
+      throw std::invalid_argument(
+          "QuantizedNetwork: dense layer widths do not chain");
+    }
     QLayer q;
-    q.in = d.in_features();
-    q.out = d.out_features();
-    q.out_padded = (q.out + QNR - 1) / QNR * QNR;
-    if (i + 1 < net.layer_count() && net.layer(i + 1).kind() == "relu") {
+    q.in = l.in;
+    q.out = l.out;
+    if (i + 1 < layers.size() && layers[i + 1].kind == "relu") {
       q.relu = true;
       ++i;
     }
-    ++i;
-
-    const Matrix& W = d.weights();
-    q.bias.resize(q.out);
-    for (std::size_t c = 0; c < q.out; ++c) {
-      q.bias[c] = static_cast<float>(d.bias()(0, c));
+    const std::size_t out_padded = panel_width(q.out);
+    max_width_ = std::max({max_width_, q.in, out_padded});
+    if (policy == QuantPolicy::None) {
+      const std::size_t panels = detail::packed_b_size(q.in, q.out);
+      double* dst = line_start(q.f64, panels + q.out, q.at);
+      detail::pack_b_panels(q.in, q.out, l.weights, dst);
+      std::memcpy(dst + panels, l.bias, q.out * sizeof(double));
+    } else {
+      const std::size_t panels = q.in * out_padded;
+      float* dst = line_start(q.f32, panels + q.out, q.at);
+      pack_fp32_panels(l, policy, dst);
+      for (std::size_t c = 0; c < q.out; ++c) {
+        dst[panels + c] = static_cast<float>(load_double(l.bias, c));
+      }
     }
-    const std::size_t panel_elems = q.in * q.out_padded;
-    // Panel layout: jr-th panel holds columns [jr*QNR, (jr+1)*QNR) for all
-    // k rows, row-major within the panel, zero-padded past `out`.
-    auto panel_value = [&](std::size_t idx) -> double {
-      const std::size_t panel = idx / (q.in * QNR);
-      const std::size_t rem = idx % (q.in * QNR);
-      const std::size_t krow = rem / QNR;
-      const std::size_t col = panel * QNR + rem % QNR;
-      return col < q.out ? W(krow, col) : 0.0;
-    };
-    switch (policy) {
-      case QuantPolicy::Fp32: {
-        q.wf.resize(panel_elems);
-        for (std::size_t e = 0; e < panel_elems; ++e) {
-          q.wf[e] = static_cast<float>(panel_value(e));
-        }
-        break;
-      }
-      case QuantPolicy::Fp16: {
-        q.wh.resize(panel_elems);
-        for (std::size_t e = 0; e < panel_elems; ++e) {
-          q.wh[e] = fp16_encode(static_cast<float>(panel_value(e)));
-        }
-        break;
-      }
-      case QuantPolicy::Int8: {
-        // Symmetric per-output-column scales preserve each neuron's dynamic
-        // range independently (the standard weight-quantization granularity).
-        q.scale.assign(q.out_padded, 1.0f);
-        for (std::size_t c = 0; c < q.out; ++c) {
-          double amax = 0.0;
-          for (std::size_t krow = 0; krow < q.in; ++krow) {
-            amax = std::max(amax, std::fabs(W(krow, c)));
-          }
-          q.scale[c] = amax > 0.0 ? static_cast<float>(amax / 127.0) : 1.0f;
-        }
-        q.wq.resize(panel_elems);
-        for (std::size_t e = 0; e < panel_elems; ++e) {
-          const std::size_t panel = e / (q.in * QNR);
-          const std::size_t col = panel * QNR + e % QNR;
-          const double s = q.scale[col];
-          const double v = panel_value(e) / s;
-          q.wq[e] = static_cast<std::int8_t>(
-              std::clamp(std::lround(v), -127L, 127L));
-        }
-        break;
-      }
-      case QuantPolicy::None:
-        break;  // unreachable (rejected above)
-    }
-    max_width_ = std::max({max_width_, q.in, q.out_padded});
     layers_.push_back(std::move(q));
   }
   if (layers_.empty()) {
@@ -348,15 +399,12 @@ QuantizedNetwork::QuantizedNetwork(const Network& net, QuantPolicy policy)
 }
 
 std::size_t QuantizedNetwork::memory_bytes() const {
-  std::size_t total = sizeof(*this);
-  for (const auto& q : layers_) {
-    total += q.wf.capacity() * sizeof(float) +
-             q.wh.capacity() * sizeof(std::uint16_t) +
-             q.wq.capacity() * sizeof(std::int8_t) +
-             q.scale.capacity() * sizeof(float) +
-             q.bias.capacity() * sizeof(float) + sizeof(QLayer);
+  std::size_t bytes = sizeof(*this);
+  for (const QLayer& q : layers_) {
+    bytes += q.f64.capacity() * sizeof(double) +
+             q.f32.capacity() * sizeof(float);
   }
-  return total;
+  return bytes;
 }
 
 void QuantizedNetwork::infer(const Matrix& input, Matrix& output,
@@ -370,40 +418,57 @@ void QuantizedNetwork::infer(const Matrix& input, Matrix& output,
     throw std::invalid_argument(
         "QuantizedNetwork::infer: input width mismatch");
   }
+  output.resize(input.rows(), layers_.back().out);
+  if (input.rows() == 0) return;
+  VF_OBS_COUNT("nn.quant.infer_rows", input.rows());
+  row_batch = std::max<std::size_t>(1, row_batch);
+  if (policy_ == QuantPolicy::None) {
+    infer_fp64(input, output, scratch, row_batch);
+  } else {
+    infer_fp32(input, output, scratch, row_batch);
+  }
+}
+
+void QuantizedNetwork::infer_fp64(const Matrix& input, Matrix& output,
+                                  QuantScratch& scratch,
+                                  std::size_t row_batch) const {
+  const std::size_t m_total = input.rows();
+  const std::size_t mb_cap = std::min(row_batch, m_total);
+  // Hidden layer li writes buffer li % 2: size each for its widest layer.
+  std::size_t width[2] = {0, 0};
+  for (std::size_t li = 0; li + 1 < layers_.size(); ++li) {
+    width[li % 2] = std::max(width[li % 2], layers_[li].out);
+  }
+  scratch.act64_a.resize(mb_cap * width[0]);
+  scratch.act64_b.resize(mb_cap * width[1]);
+  double* bufs[2] = {scratch.act64_a.data(), scratch.act64_b.data()};
+  for (std::size_t b = 0; b < m_total; b += row_batch) {
+    const std::size_t mb = std::min(row_batch, m_total - b);
+    // The first layer reads the input rows in place and the last writes
+    // the output rows in place; hidden activations ping-pong.
+    const double* cur = input.row(b);
+    std::size_t ld = input.cols();
+    for (std::size_t li = 0; li < layers_.size(); ++li) {
+      const QLayer& q = layers_[li];
+      const bool last = li + 1 == layers_.size();
+      double* dst = last ? output.row(b) : bufs[li % 2];
+      const double* w = q.f64.data() + q.at;
+      detail::gemm_packed(mb, q.out, q.in, cur, ld, w, dst, q.out,
+                          w + detail::packed_b_size(q.in, q.out), q.relu);
+      cur = dst;
+      ld = q.out;
+    }
+  }
+}
+
+void QuantizedNetwork::infer_fp32(const Matrix& input, Matrix& output,
+                                  QuantScratch& scratch,
+                                  std::size_t row_batch) const {
   const std::size_t m_total = input.rows();
   const std::size_t out_cols = layers_.back().out;
-  output.resize(m_total, out_cols);
-  if (m_total == 0) return;
-  VF_OBS_COUNT("nn.quant.infer_rows", m_total);
-  row_batch = std::max<std::size_t>(1, row_batch);
-
   const std::size_t mb_cap = std::min(row_batch, m_total);
   scratch.act_a.resize(mb_cap * max_width_);
   scratch.act_b.resize(mb_cap * max_width_);
-
-  // Decode the fp16/int8 weight panels to fp32 once per (scratch, network)
-  // pairing — not once per row chunk. The cache is keyed on the network's
-  // generation id, which survives in-place rebuilds (serve model eviction).
-  if (policy_ != QuantPolicy::Fp32 &&
-      scratch.wdec_generation != generation_) {
-    scratch.wdec.resize(layers_.size());
-    for (std::size_t li = 0; li < layers_.size(); ++li) {
-      const QLayer& q = layers_[li];
-      auto& dec = scratch.wdec[li];
-      if (policy_ == QuantPolicy::Fp16) {
-        dec.resize(q.wh.size());
-        decode_fp16(q.wh.data(), q.wh.size(), dec.data());
-      } else {
-        dec.resize(q.wq.size());
-        const std::size_t panel_stride = q.in * QNR;
-        for (std::size_t e = 0; e < q.wq.size(); ++e) {
-          const std::size_t col = e / panel_stride * QNR + e % QNR;
-          dec[e] = static_cast<float>(q.wq[e]) * q.scale[col];
-        }
-      }
-    }
-    scratch.wdec_generation = generation_;
-  }
 
   for (std::size_t b = 0; b < m_total; b += row_batch) {
     const std::size_t mb = std::min(row_batch, m_total - b);
@@ -425,11 +490,9 @@ void QuantizedNetwork::infer(const Matrix& input, Matrix& output,
     float* nxt = scratch.act_b.data();
     for (std::size_t li = 0; li < layers_.size(); ++li) {
       const QLayer& q = layers_[li];
-      const float* wpanels = policy_ == QuantPolicy::Fp32
-                                 ? q.wf.data()
-                                 : scratch.wdec[li].data();
-      sgemm_panels(mb, q.out, q.in, cur, wpanels, q.bias.data(), q.relu,
-                   nxt);
+      const float* w = q.f32.data() + q.at;
+      sgemm_panels(mb, q.out, q.in, cur, w, w + q.in * panel_width(q.out),
+                   q.relu, nxt);
       if (li + 1 < layers_.size()) {
         // Hidden activations live on the storage grid between layers.
         if (policy_ == QuantPolicy::Fp16) snap_fp16(nxt, mb * q.out);

@@ -1,6 +1,7 @@
 #include "vf/nn/serialize.hpp"
 
 #include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -31,15 +32,31 @@ void write_matrix(ByteWriter& out, const Matrix& m) {
   out.bytes(m.data().data(), m.size() * sizeof(double));
 }
 
-Matrix read_matrix(ByteReader& in, const char* what) {
+/// A serialized matrix viewed in place: its shape, checked against the
+/// bytes left, and its row-major doubles (no alignment guarantee).
+struct MatrixView {
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+  const char* data = nullptr;
+};
+
+MatrixView read_matrix_view(ByteReader& in, const char* what) {
   const auto rows = in.pod<std::uint64_t>();
   const auto cols = in.pod<std::uint64_t>();
   if (rows == 0 || cols == 0 || cols > kMaxMatrixElements / rows ||
       rows * cols * sizeof(double) > in.remaining()) {
     throw std::runtime_error(std::string(what) + ": corrupt matrix header");
   }
-  Matrix m(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
-  in.bytes(m.data().data(), m.size() * sizeof(double));
+  const std::string_view bytes =
+      in.view(static_cast<std::size_t>(rows * cols * sizeof(double)));
+  return {static_cast<std::size_t>(rows), static_cast<std::size_t>(cols),
+          bytes.data()};
+}
+
+Matrix read_matrix(ByteReader& in, const char* what) {
+  const MatrixView v = read_matrix_view(in, what);
+  Matrix m(v.rows, v.cols);
+  std::memcpy(m.data().data(), v.data, m.size() * sizeof(double));
   return m;
 }
 
@@ -58,33 +75,82 @@ std::string layer_payload(const Layer& l) {
   return out.take();
 }
 
-/// Parse one layer record. Version 2 frames each record in its own CRC
-/// section; version 1 (unchecksummed, kept so archived models still load)
-/// wrote them back to back. Either way the ByteReader bounds every field
-/// against the real byte count.
-std::unique_ptr<Layer> read_layer(ByteReader& in, const char* what) {
-  const std::string kind = in.str(64);
-  const auto trainable = in.pod<std::uint8_t>();
-  std::unique_ptr<Layer> layer;
-  if (kind == "dense") {
-    Matrix w = read_matrix(in, what);
-    Matrix b = read_matrix(in, what);
-    if (b.rows() != 1 || b.cols() != w.cols()) {
+/// One parsed layer record, its parameters viewed in the buffer.
+struct LayerRecord {
+  std::string kind;
+  bool trainable = true;
+  MatrixView weights;  // dense only
+  MatrixView bias;     // dense only
+  double slope = 0.0;  // leaky_relu only
+};
+
+LayerRecord read_layer(ByteReader& in, const char* what) {
+  LayerRecord r;
+  r.kind = in.str(64);
+  r.trainable = in.pod<std::uint8_t>() != 0;
+  if (r.kind == "dense") {
+    r.weights = read_matrix_view(in, what);
+    r.bias = read_matrix_view(in, what);
+    if (r.bias.rows != 1 || r.bias.cols != r.weights.cols) {
       throw std::runtime_error(std::string(what) +
                                ": bias/weights shape mismatch");
     }
-    layer = std::make_unique<DenseLayer>(std::move(w), std::move(b));
-  } else if (kind == "relu") {
-    layer = std::make_unique<ReluLayer>();
-  } else if (kind == "tanh") {
-    layer = std::make_unique<TanhLayer>();
-  } else if (kind == "leaky_relu") {
-    layer = std::make_unique<LeakyReluLayer>(in.pod<double>());
-  } else {
+  } else if (r.kind == "leaky_relu") {
+    r.slope = in.pod<double>();
+  } else if (r.kind != "relu" && r.kind != "tanh") {
     throw std::runtime_error(std::string(what) + ": unknown layer kind " +
-                             kind);
+                             r.kind);
   }
-  layer->set_trainable(trainable != 0);
+  return r;
+}
+
+/// Parse a serialized network's layer records in order, handing each to
+/// `visit`. Version 2 frames each record in its own CRC section; version 1
+/// (unchecksummed, kept so archived models still load) wrote them back to
+/// back. Either way the ByteReader bounds every field against the real
+/// byte count, and the buffer must be consumed exactly.
+template <typename Visit>
+void for_each_layer(std::string_view bytes, const char* what, Visit visit) {
+  ByteReader in(bytes, what);
+  if (in.view(4) != std::string_view(kMagic, 4)) {
+    throw std::runtime_error(std::string(what) + ": bad magic");
+  }
+  const auto version = in.pod<std::uint32_t>();
+  if (version == kLegacyVersion) {
+    const auto layers = in.pod<std::uint32_t>();
+    for (std::uint32_t i = 0; i < layers; ++i) visit(read_layer(in, what));
+  } else if (version == kVersion) {
+    ByteReader hdr(in.section(), what);
+    const auto layers = hdr.pod<std::uint32_t>();
+    hdr.expect_end();
+    for (std::uint32_t i = 0; i < layers; ++i) {
+      ByteReader layer(in.section(), what);
+      visit(read_layer(layer, what));
+      layer.expect_end();
+    }
+  } else {
+    throw std::runtime_error(std::string(what) + ": unsupported version " +
+                             std::to_string(version));
+  }
+  in.expect_end();
+}
+
+std::unique_ptr<Layer> make_layer(const LayerRecord& r) {
+  std::unique_ptr<Layer> layer;
+  if (r.kind == "dense") {
+    Matrix w(r.weights.rows, r.weights.cols);
+    Matrix b(1, r.bias.cols);
+    std::memcpy(w.data().data(), r.weights.data, w.size() * sizeof(double));
+    std::memcpy(b.data().data(), r.bias.data, b.size() * sizeof(double));
+    layer = std::make_unique<DenseLayer>(std::move(w), std::move(b));
+  } else if (r.kind == "relu") {
+    layer = std::make_unique<ReluLayer>();
+  } else if (r.kind == "tanh") {
+    layer = std::make_unique<TanhLayer>();
+  } else {
+    layer = std::make_unique<LeakyReluLayer>(r.slope);
+  }
+  layer->set_trainable(r.trainable);
   return layer;
 }
 
@@ -105,30 +171,26 @@ std::string network_to_bytes(const Network& net) {
 }
 
 Network network_from_bytes(std::string_view bytes, const char* what) {
-  ByteReader in(bytes, what);
-  if (in.view(4) != std::string_view(kMagic, 4)) {
-    throw std::runtime_error(std::string(what) + ": bad magic");
-  }
-  const auto version = in.pod<std::uint32_t>();
   Network net;
-  if (version == kLegacyVersion) {
-    const auto layers = in.pod<std::uint32_t>();
-    for (std::uint32_t i = 0; i < layers; ++i) net.add(read_layer(in, what));
-  } else if (version == kVersion) {
-    ByteReader hdr(in.section(), what);
-    const auto layers = hdr.pod<std::uint32_t>();
-    hdr.expect_end();
-    for (std::uint32_t i = 0; i < layers; ++i) {
-      ByteReader layer(in.section(), what);
-      net.add(read_layer(layer, what));
-      layer.expect_end();
-    }
-  } else {
-    throw std::runtime_error(std::string(what) + ": unsupported version " +
-                             std::to_string(version));
-  }
-  in.expect_end();
+  for_each_layer(bytes, what,
+                 [&](const LayerRecord& r) { net.add(make_layer(r)); });
   return net;
+}
+
+QuantizedNetwork packed_network_from_bytes(std::string_view bytes,
+                                           const char* what,
+                                           QuantPolicy policy) {
+  std::vector<LayerView> layers;
+  for_each_layer(bytes, what, [&](const LayerRecord& r) {
+    LayerView v;
+    v.kind = r.kind;
+    v.in = r.weights.rows;
+    v.out = r.weights.cols;
+    v.weights = r.weights.data;
+    v.bias = r.bias.data;
+    layers.push_back(std::move(v));
+  });
+  return QuantizedNetwork(layers, policy);
 }
 
 void save_network(const Network& net, const std::string& path) {

@@ -33,10 +33,11 @@ struct ServiceOptions {
   /// Default per-request deadline applied by ShardRouter::submit()/query()
   /// when the caller passes none (zero = requests never expire).
   std::chrono::milliseconds default_deadline{0};
-  /// Inference precision for served batches. None runs the fp64 Network
-  /// path; Fp32/Fp16/Int8 run the packed single-precision GEMM (each
-  /// worker quantizes the resolved model once and caches it, keyed on the
-  /// registry's model instance). Guarded by the SNR-regression suite.
+  /// Inference precision for served batches. The registry packs each
+  /// model it loads at this policy, once per load: None packs fp64
+  /// panels, bit-identical to Network::infer; Fp32/Fp16/Int8 pack fp32
+  /// panels for the single-precision GEMM. Every worker reads the entry's
+  /// one packed copy. Guarded by the SNR-regression suite.
   vf::nn::QuantPolicy quant = vf::nn::QuantPolicy::None;
   /// Session index kind. Auto resolves against batch_max_points — serve
   /// micro-batches are sparse probes, so Auto keeps the exact k-d tree

@@ -5,14 +5,18 @@
 // timestep; a long-running service cannot keep them all resident. The
 // registry maps a stable key ("t042") to a model file, loads lazily on
 // first resolve, and evicts least-recently-used models when either the
-// entry cap or the byte budget (FcnnModel::memory_bytes accounting) is
-// exceeded. Concurrent resolvers of the same cold key share a single
-// load via a shared_future instead of thundering-herding the disk; a
-// failed load is propagated to every waiter and leaves the entry
-// re-loadable. Evicted entries keep their path registration, so a later
-// resolve simply reloads. In-flight shared_ptr handles keep an evicted
-// model's storage alive until the last user drops it — eviction only
-// drops the registry's reference, never memory a worker is reading.
+// entry cap or the byte budget (PackedModel::memory_bytes accounting) is
+// exceeded. A load packs the file's weights straight into the inference
+// form (core::PackedModel, at the tier's precision policy), once per
+// load; that form is the entry's only copy of the weights, what it
+// charges, and what every worker reads. Concurrent resolvers of the same
+// cold key share a single load via a shared_future instead of
+// thundering-herding the disk; a failed load is propagated to every
+// waiter and leaves the entry re-loadable. Evicted entries keep their
+// path registration, so a later resolve simply reloads. In-flight
+// shared_ptr handles keep an evicted model's storage alive until the last
+// user drops it — eviction only drops the registry's reference, never
+// memory a worker is reading.
 //
 // Loads sit behind a per-model circuit breaker (DESIGN.md §12): after
 // `breaker_threshold` consecutive failures the breaker opens and resolve
@@ -124,7 +128,11 @@ struct RegistryStats {
 
 class ModelRegistry {
  public:
-  explicit ModelRegistry(RegistryOptions options = {});
+  /// Loads pack each model at `policy` (the serve tier passes
+  /// ServiceOptions::quant).
+  explicit ModelRegistry(
+      RegistryOptions options = {},
+      vf::nn::QuantPolicy policy = vf::nn::QuantPolicy::None);
 
   /// Register `key` -> model file. Does not load. Re-registering an
   /// existing key updates the path, drops any resident model, resets the
@@ -138,15 +146,15 @@ class ModelRegistry {
   [[nodiscard]] bool contains(const std::string& key) const
       VF_EXCLUDES(mu_);
 
-  /// Resolve `key` to its model, loading it if not resident (blocking;
-  /// concurrent cold resolves of one key share a single load). Bumps the
-  /// LRU position and evicts over-budget models. Throws
+  /// Resolve `key` to its packed model, loading it if not resident
+  /// (blocking; concurrent cold resolves of one key share a single load).
+  /// Bumps the LRU position and evicts over-budget models. Throws
   /// std::invalid_argument for unregistered keys, CircuitOpenError when
   /// the key's breaker is open, and propagates load errors
-  /// (missing/corrupt file, fault-injected "model_read" failures, or a
-  /// loadable model whose normaliser shapes don't match the kFeatureDim
-  /// feature pipeline).
-  [[nodiscard]] std::shared_ptr<const vf::core::FcnnModel> resolve(
+  /// (missing/corrupt file, fault-injected "model_read" failures, a
+  /// network the packed form cannot hold, or a loadable model whose
+  /// normaliser shapes don't match the kFeatureDim feature pipeline).
+  [[nodiscard]] std::shared_ptr<const vf::core::PackedModel> resolve(
       const std::string& key) VF_EXCLUDES(mu_);
 
   [[nodiscard]] RegistryStats stats() const VF_EXCLUDES(mu_);
@@ -161,7 +169,7 @@ class ModelRegistry {
   breaker_states() const VF_EXCLUDES(mu_);
 
  private:
-  using ModelPtr = std::shared_ptr<const vf::core::FcnnModel>;
+  using ModelPtr = std::shared_ptr<const vf::core::PackedModel>;
 
   struct Entry {
     std::string path;
@@ -189,6 +197,7 @@ class ModelRegistry {
       VF_REQUIRES(mu_);
 
   RegistryOptions options_;  // immutable after construction
+  vf::nn::QuantPolicy policy_;  // immutable after construction
   mutable vf::util::Mutex mu_{"serve.registry"};
   /// Deterministic breaker-window jitter stream; engaged only when
   /// options_.shard_salt != 0 (constructed before the workers exist, so

@@ -33,7 +33,9 @@ std::uint64_t derive_shard_salt(std::uint64_t seed, std::size_t shard_id) {
   return x == 0 ? 1 : x;  // 0 means "unsalted"; never derive it
 }
 
-ModelRegistry::ModelRegistry(RegistryOptions options) : options_(options) {
+ModelRegistry::ModelRegistry(RegistryOptions options,
+                             vf::nn::QuantPolicy policy)
+    : options_(options), policy_(policy) {
   if (options_.max_models == 0) options_.max_models = 1;
   if (options_.breaker_backoff <= std::chrono::milliseconds::zero()) {
     options_.breaker_backoff = std::chrono::milliseconds(1);
@@ -141,7 +143,7 @@ void ModelRegistry::record_load_failure_locked(const std::string& key,
   (void)key;
 }
 
-std::shared_ptr<const vf::core::FcnnModel> ModelRegistry::resolve(
+std::shared_ptr<const vf::core::PackedModel> ModelRegistry::resolve(
     const std::string& key) {
   VF_OBS_SPAN("serve/resolve_model");
   std::shared_future<ModelPtr> pending;
@@ -193,12 +195,13 @@ std::shared_ptr<const vf::core::FcnnModel> ModelRegistry::resolve(
     // model_read faults); a file that loads but fails validation below is
     // permanently bad and never worth a second read. attempts = 1 — the
     // default — is byte-for-byte the old single-try path.
-    loaded = std::make_shared<const vf::core::FcnnModel>(
+    const auto load = [this, &path] {
+      return vf::core::PackedModel::load(path, policy_);
+    };
+    loaded = std::make_shared<const vf::core::PackedModel>(
         options_.load_retry.attempts > 1
-            ? vf::util::with_retries(
-                  options_.load_retry,
-                  [&path] { return vf::core::FcnnModel::load(path); })
-            : vf::core::FcnnModel::load(path));
+            ? vf::util::with_retries(options_.load_retry, load)
+            : load());
     // A loadable file whose normaliser shapes don't match the feature
     // pipeline would only blow up later, inside a worker's inference —
     // reject it here so callers degrade exactly as for a corrupt file.

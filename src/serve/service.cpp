@@ -22,16 +22,11 @@ struct WorkerScratch {
   std::vector<double> out;
   std::vector<std::size_t> repaired;
   vf::core::PointScratch infer;
-  /// Quantized copy of the last resolved model (ServiceOptions::quant !=
-  /// None), keyed on the model it was built from. Holding that model pins
-  /// its address, so a reload or hot swap can never be mistaken for it.
-  vf::nn::QuantizedNetwork qnet;
-  std::shared_ptr<const vf::core::FcnnModel> qnet_model;
 };
 
 Service::Service(const ServiceOptions& options)
     : options_(options),
-      registry_(options.registry),
+      registry_(options.registry, options.quant),
       queue_(options.queue_max) {
   const std::size_t n = std::max<std::size_t>(1, options_.workers);
   workers_.reserve(n);
@@ -233,7 +228,7 @@ void Service::serve_batch(std::vector<PointRequest>& batch,
   // VF_FAULT_MODEL_READ injection inside FcnnModel::load, or an open
   // circuit breaker fast-failing the resolve) degrades the batch to the
   // classical estimator instead of failing the requests.
-  std::shared_ptr<const vf::core::FcnnModel> model;
+  std::shared_ptr<const vf::core::PackedModel> model;
   if (!session->classical) {
     try {
       model = registry_.resolve(batch.front().key);
@@ -254,18 +249,10 @@ void Service::serve_batch(std::vector<PointRequest>& batch,
       if (vf::util::fault::should_fail("serve_infer")) {
         throw std::runtime_error("vf::serve: injected inference fault");
       }
-      const vf::nn::QuantizedNetwork* qnet = nullptr;
-      if (options_.quant != vf::nn::QuantPolicy::None) {
-        if (scratch.qnet_model != model) {
-          scratch.qnet = vf::nn::QuantizedNetwork(model->net, options_.quant);
-          scratch.qnet_model = model;
-        }
-        qnet = &scratch.qnet;
-      }
       const auto& bound = session->bound;
       degraded_total = vf::core::predict_points(
           *model, bound.index(), bound.values(), scratch.points.data(), total,
-          scratch.out.data(), scratch.infer, &scratch.repaired, qnet);
+          scratch.out.data(), scratch.infer, &scratch.repaired);
     } catch (const std::exception&) {
       model = nullptr;
       scratch.repaired.clear();

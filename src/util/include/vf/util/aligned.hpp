@@ -5,7 +5,9 @@
 // data 64-byte aligned so vector loads/stores never straddle cache lines
 // and the compiler can emit aligned SIMD moves for the micro-kernel.
 
+#include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <vector>
@@ -51,5 +53,25 @@ class AlignedAllocator {
 /// std::vector with 64-byte-aligned storage.
 template <typename T>
 using AlignedVector = std::vector<T, AlignedAllocator<T>>;
+
+struct AlignedFree {
+  void operator()(void* p) const noexcept {
+    ::operator delete(p, std::align_val_t{64});
+  }
+};
+
+/// A 64-byte-aligned array whose elements are left uninitialised, for
+/// buffers that are written in full before they are read (packed GEMM
+/// operands): a value-initialised vector would zero-fill them first.
+template <typename T>
+using UninitBuffer = std::unique_ptr<T[], AlignedFree>;
+
+template <typename T>
+[[nodiscard]] UninitBuffer<T> make_uninit_buffer(std::size_t n) {
+  static_assert(std::is_trivially_default_constructible_v<T>);
+  return UninitBuffer<T>(static_cast<T*>(
+      ::operator new(std::max<std::size_t>(n, 1) * sizeof(T),
+                     std::align_val_t{64})));
+}
 
 }  // namespace vf::util

@@ -3,10 +3,11 @@
 // so the tile size, a single predict_points call over the same positions,
 // the facade's point mode and a served batch must all give the same answer
 // bit for bit, for fp64, fp16 and int8, on the cloud's own grid and on a
-// foreign one. The engine must also reuse its bound cloud (and rebind a
-// new cloud even when it lands on a freed cloud's buffers), keep scratch
-// bounded by the tile rather than the grid, and reject clouds too small
-// for the feature stencil.
+// foreign one; at fp64 so must the unpacked reference (predict_points over
+// the row-major FcnnModel). The engine must also reuse its bound cloud
+// (and rebind a new cloud even when it lands on a freed cloud's buffers),
+// keep scratch bounded by the tile rather than the grid, and reject
+// clouds too small for the feature stencil.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -320,17 +321,27 @@ TEST_P(Equivalence, GridEqualsOnePredictPointsCall) {
   BoundCloud bound;
   bound.bind(s.cloud, IndexKind::Auto,
              static_cast<std::size_t>(g.point_count()));
-  vf::nn::QuantizedNetwork qnet;
-  if (GetParam().policy != QuantPolicy::None) {
-    qnet = vf::nn::QuantizedNetwork(s.model.net, GetParam().policy);
-  }
+  const PackedModel packed(s.model, GetParam().policy);
   std::vector<double> out(pts.size());
   PointScratch scratch;
-  (void)predict_points(s.model, bound.index(), bound.values(), pts.data(),
-                       pts.size(), out.data(), scratch, nullptr, &qnet);
+  (void)predict_points(packed, bound.index(), bound.values(), pts.data(),
+                       pts.size(), out.data(), scratch);
   for (std::size_t i = 0; i < idx.size(); ++i) {
     ASSERT_TRUE(same_bits(field[idx[i]], out[i]))
         << "grid index " << idx[i] << ": " << field[idx[i]] << " vs "
+        << out[i];
+  }
+
+  // At fp64 the packed weights answer exactly as the unpacked reference,
+  // which runs Network::infer over the row-major model.
+  if (GetParam().policy != QuantPolicy::None) return;
+  std::vector<double> reference(pts.size());
+  PointScratch reference_scratch;
+  (void)predict_points(s.model, bound.index(), bound.values(), pts.data(),
+                       pts.size(), reference.data(), reference_scratch);
+  for (std::size_t i = 0; i < idx.size(); ++i) {
+    ASSERT_TRUE(same_bits(reference[i], out[i]))
+        << "grid index " << idx[i] << ": " << reference[i] << " vs "
         << out[i];
   }
 }

@@ -1,6 +1,7 @@
 // Equivalence suite for the blocked GEMM kernel layer against the retained
-// naive reference kernels, plus the fused dense forward and the Matrix
-// storage semantics the kernels rely on.
+// naive reference kernels, the packed-once path against the blocked one,
+// plus the fused dense forward and the Matrix storage semantics the
+// kernels rely on.
 //
 // The blocked path keeps the naive per-element k-summation order but
 // re-associates partial sums at Kc-panel boundaries, so comparisons use a
@@ -10,6 +11,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -168,6 +171,49 @@ TEST(InferPath, MatchesTrainingForward) {
   net.infer(x, got, scratch);
   expect_close(got, want);
   EXPECT_EQ(scratch.element_count(), held);
+}
+
+// ---- B packed once: the served path ------------------------------------
+
+// gemm_packed runs gemm_blocked's loop over a B that pack_b_panels packed
+// ahead, so the two must agree bit for bit. The shapes cross every
+// blocking boundary: m the 8-row register tile and the 128-row band, k the
+// 192-deep Kc panel, n the 16-wide register tile and the 4096-wide Nc
+// block.
+using PackedShape = std::tuple<std::size_t, std::size_t, std::size_t>;
+
+class PackedGemm : public ::testing::TestWithParam<PackedShape> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, PackedGemm,
+    ::testing::Combine(::testing::Values(1, 7, 8, 9, 129),
+                       ::testing::Values(23, 191, 192, 193, 512),
+                       ::testing::Values(4, 16, 17, 512, 4097)));
+
+TEST_P(PackedGemm, EqualsBlockedBitForBit) {
+  const auto [m, k, n] = GetParam();
+  const Matrix a = random_matrix(m, k, 401 + m);
+  const Matrix b = random_matrix(k, n, 402 + k);
+  const Matrix bias = random_matrix(1, n, 403 + n);
+  std::vector<double> panels(vf::nn::detail::packed_b_size(k, n));
+  vf::nn::detail::pack_b_panels(k, n, b.data().data(), panels.data());
+  for (const bool with_bias : {false, true}) {
+    for (const bool relu : {false, true}) {
+      SCOPED_TRACE(std::string(with_bias ? "bias" : "no bias") +
+                   (relu ? ", relu" : ""));
+      const double* bp = with_bias ? bias.row(0) : nullptr;
+      Matrix want(m, n);
+      Matrix got(m, n);
+      vf::nn::detail::gemm_blocked(m, n, k, a.data().data(), k, false,
+                                   b.data().data(), n, false,
+                                   want.data().data(), n, bp, relu);
+      vf::nn::detail::gemm_packed(m, n, k, a.data().data(), k, panels.data(),
+                                  got.data().data(), n, bp, relu);
+      ASSERT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                            want.size() * sizeof(double)),
+                0);
+    }
+  }
 }
 
 TEST(MatrixStorage, ResizeKeepsContentsWhenShapeUnchanged) {

@@ -1,14 +1,18 @@
-// Quantized inference: the portable fp16 codec must be bit-exact IEEE 754
-// binary16 with round-to-nearest-even, and QuantizedNetwork must reproduce
-// Network::infer through each precision policy within that policy's error
-// envelope (Fp32 ~ fp32 rounding; Fp16/Int8 bounded, finite, and close).
+// The packed inference form: the portable fp16 codec must be bit-exact
+// IEEE 754 binary16 with round-to-nearest-even, and QuantizedNetwork must
+// reproduce Network::infer bit for bit at QuantPolicy::None and within
+// each reduced policy's error envelope (Fp32 ~ fp32 rounding; Fp16/Int8
+// bounded, finite, and close).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "vf/nn/network.hpp"
@@ -185,16 +189,61 @@ TEST_F(QuantNetwork, ScratchIsReusableAcrossCalls) {
 
 TEST(QuantNetworkConstruction, RejectsNonePolicyAndReportsMemory) {
   Network net = Network::mlp(8, {16}, 2, 7);
-  EXPECT_THROW((void)QuantizedNetwork(net, QuantPolicy::None),
-               std::invalid_argument);
+  // None builds the fp64 form; what the packed form rejects is a layer
+  // outside a dense/ReLU stack.
+  QuantizedNetwork fp64(net, QuantPolicy::None);
   QuantizedNetwork fp32(net, QuantPolicy::Fp32);
   QuantizedNetwork fp16(net, QuantPolicy::Fp16);
   QuantizedNetwork int8(net, QuantPolicy::Int8);
+  EXPECT_FALSE(fp64.empty());
   EXPECT_FALSE(fp32.empty());
-  // Packed fp16 weights take half the bytes of fp32; int8 a quarter (plus
-  // small per-column scale overhead).
-  EXPECT_LT(fp16.memory_bytes(), fp32.memory_bytes());
-  EXPECT_LT(int8.memory_bytes(), fp16.memory_bytes());
+  Network tanh_net;
+  tanh_net.add(std::make_unique<vf::nn::DenseLayer>(8, 4, 1u));
+  tanh_net.add(std::make_unique<vf::nn::TanhLayer>());
+  EXPECT_THROW((void)QuantizedNetwork(tanh_net, QuantPolicy::None),
+               std::invalid_argument);
+  // Each form holds every weight at its precision. fp16 and int8 decode to
+  // the fp32 panels they compute from once, at build, so they report what
+  // fp32 reports.
+  const std::size_t params = net.parameter_count();
+  EXPECT_GE(fp64.memory_bytes(), params * sizeof(double));
+  EXPECT_GE(fp32.memory_bytes(), params * sizeof(float));
+  EXPECT_EQ(fp16.memory_bytes(), fp32.memory_bytes());
+  EXPECT_EQ(int8.memory_bytes(), fp32.memory_bytes());
+}
+
+TEST(QuantNetworkConstruction, RejectsWidthsThatDoNotChain) {
+  Network net;
+  net.add(std::make_unique<vf::nn::DenseLayer>(8, 16, 1u));
+  net.add(std::make_unique<vf::nn::ReluLayer>());
+  net.add(std::make_unique<vf::nn::DenseLayer>(12, 2, 2u));
+  for (QuantPolicy policy : {QuantPolicy::None, QuantPolicy::Fp32}) {
+    EXPECT_THROW((void)QuantizedNetwork(net, policy), std::invalid_argument);
+  }
+}
+
+TEST(PackedNetwork, Fp64EqualsInferBitForBitAtPaperWidths) {
+  const Network net = Network::mlp(23, {512, 256, 128, 64, 16}, 4, 31);
+  const QuantizedNetwork packed(net, QuantPolicy::None);
+  std::vector<std::size_t> row_counts;
+  for (std::size_t rows = 1; rows <= 17; ++rows) row_counts.push_back(rows);
+  row_counts.push_back(97);
+  row_counts.push_back(2048);
+  vf::nn::InferScratch reference_scratch;
+  QuantScratch scratch;
+  for (const std::size_t rows : row_counts) {
+    SCOPED_TRACE(std::to_string(rows) + " rows");
+    const Matrix x = random_features(rows, 23, 500 + rows);
+    Matrix want;
+    Matrix got;
+    net.infer(x, want, reference_scratch);
+    packed.infer(x, got, scratch);
+    ASSERT_EQ(got.rows(), want.rows());
+    ASSERT_EQ(got.cols(), want.cols());
+    ASSERT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                          want.size() * sizeof(double)),
+              0);
+  }
 }
 
 TEST(QuantPolicyNames, RoundTrip) {

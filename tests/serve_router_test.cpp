@@ -19,6 +19,7 @@
 #include "vf/core/fcnn.hpp"
 #include "vf/core/model.hpp"
 #include "vf/serve/router.hpp"
+#include "vf/util/fault.hpp"
 
 namespace {
 
@@ -156,8 +157,15 @@ class RouterTest : public ::testing::Test {
     fs::create_directories(dir_);
     model_path_ = (dir_ / "model.vfmd").string();
     tiny_model().save(model_path_);
+    // Hermetic against env-armed failpoints (the chaos CI lane exports
+    // VF_FAULT_* process-wide): an injected load or inference fault
+    // degrades answers these tests compare exactly.
+    vf::util::fault::clear();
   }
-  void TearDown() override { fs::remove_all(dir_); }
+  void TearDown() override {
+    fs::remove_all(dir_);
+    vf::util::fault::reload_env();
+  }
 
   fs::path dir_;
   std::string model_path_;
