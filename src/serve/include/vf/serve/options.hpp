@@ -24,10 +24,10 @@ struct OverloadedError : std::runtime_error {
 struct ServiceOptions {
   /// Worker threads serving micro-batches.
   std::size_t workers = 2;
-  /// Flush a micro-batch at this many query points...
+  /// Most query points one micro-batch claims (a single larger request is
+  /// taken whole). A worker never waits to fill a batch: it takes what
+  /// queued while it was busy.
   std::size_t batch_max_points = 512;
-  /// ...or when the oldest member has waited this long.
-  std::chrono::microseconds batch_deadline{200};
   /// Bounded backlog: pending requests beyond this are shed.
   std::size_t queue_max = 256;
   /// Default per-request deadline applied by ShardRouter::submit()/query()

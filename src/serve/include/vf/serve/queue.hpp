@@ -1,28 +1,27 @@
 #pragma once
-// RequestQueue — bounded MPMC queue with dynamic micro-batch extraction
-// and per-request deadline enforcement.
+// RequestQueue — bounded MPMC queue with work-conserving micro-batch
+// extraction and per-request deadline enforcement.
 //
 // Producers (client threads) push point-query requests; admission control
 // rejects pushes once `max_pending` requests are queued, so a saturated
 // service sheds load with a backpressure signal instead of growing an
 // unbounded backlog. Consumers (worker threads) pop *micro-batches*: a
-// worker takes the oldest request, claims every queued request with the
-// same session key, and — if the batch is still under `max_points` —
-// briefly waits for more same-key arrivals until the head request's age
-// reaches `max_delay` (deadline flush) or the batch fills (size flush).
-// Claimed requests leave the deque immediately, so two workers can never
-// serve the same request; requests for other keys stay queued for other
-// workers.
+// worker takes the oldest request and claims every queued request with the
+// same session key, up to `max_points`, and returns at once — it never
+// waits for more. A batch is therefore whatever queued while the workers
+// were busy: a lone request is served alone and immediately, and batches
+// grow with load without a timer. Claimed requests leave the deque
+// immediately, so two workers can never serve the same request; requests
+// for other keys stay queued for other workers.
 //
 // Request lifecycle (DESIGN.md §12): every request carries an absolute
 // deadline (time_point::max() = none). Expired requests are answered
 // `Status::DeadlineExceeded` by the queue itself — pop_batch sweeps the
-// backlog before selecting a batch so a pile-up of dead requests can
-// never starve live ones, and the coalescing window never holds a batch
-// open past the earliest member's request deadline. All terminal answers
-// flow through the answer-exactly-once `Reply` wrapper; the vf_lint
-// `unbounded-wait` rule keeps stray promise fulfilment paths out of
-// src/serve.
+// backlog under the lock it claims under, so a pile-up of dead requests
+// can never starve live ones and no expired request is ever batched. All
+// terminal answers flow through the answer-exactly-once `Reply` wrapper;
+// the vf_lint `unbounded-wait` rule keeps stray promise fulfilment paths
+// out of src/serve.
 
 #include <chrono>
 #include <cstdint>
@@ -98,7 +97,6 @@ struct PointRequest {
   std::string key;  ///< session / model key (batching groups by this)
   std::vector<vf::field::Vec3> points;
   Reply reply;
-  std::chrono::steady_clock::time_point enqueued;
   /// Absolute deadline; answered DeadlineExceeded instead of computed once
   /// passed. max() = no deadline.
   std::chrono::steady_clock::time_point deadline =
@@ -123,14 +121,14 @@ class RequestQueue {
   /// caller still owns the reply and can report the shed.
   Admission push(PointRequest& req) VF_EXCLUDES(mu_);
 
-  /// Blocking micro-batch pop per the module comment. Returns false only
-  /// at shutdown with an empty queue; otherwise fills `out` with >= 1
-  /// same-key live requests totalling <= max_points query points (a single
-  /// oversized request is always taken whole). Expired backlog entries are
-  /// answered DeadlineExceeded and skipped, and the coalescing window is
-  /// clamped to the earliest claimed member's request deadline.
-  bool pop_batch(std::vector<PointRequest>& out, std::size_t max_points,
-                 std::chrono::microseconds max_delay) VF_EXCLUDES(mu_);
+  /// Micro-batch pop per the module comment: blocks only while the queue
+  /// is empty. Returns false only at shutdown with an empty queue;
+  /// otherwise fills `out` with the head request and every other queued
+  /// live request of its key, >= 1 requests totalling <= max_points query
+  /// points (a single oversized request is always taken whole). Expired
+  /// backlog entries are answered DeadlineExceeded and skipped.
+  bool pop_batch(std::vector<PointRequest>& out, std::size_t max_points)
+      VF_EXCLUDES(mu_);
 
   /// Answer every queued request whose deadline has passed with
   /// DeadlineExceeded and remove it. Returns how many were expired.
@@ -155,16 +153,6 @@ class RequestQueue {
   }
 
  private:
-  /// Move every queued live `key` request into `out` until `max_points`,
-  /// answering expired same-key entries along the way. Clamps `flush` to
-  /// the earliest claimed member deadline. Returns total points claimed.
-  std::size_t claim_locked(const std::string& key,
-                           std::vector<PointRequest>& out,
-                           std::size_t max_points, std::size_t claimed,
-                           std::chrono::steady_clock::time_point now,
-                           std::chrono::steady_clock::time_point& flush)
-      VF_REQUIRES(mu_);
-
   /// Expiry sweep body; see expire_sweep().
   std::size_t expire_sweep_locked(std::chrono::steady_clock::time_point now)
       VF_REQUIRES(mu_);

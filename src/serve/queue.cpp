@@ -39,12 +39,13 @@ Admission RequestQueue::push(PointRequest& req) {
       VF_OBS_COUNT("serve.queue.shed", 1);
       return Admission::QueueFull;
     }
-    req.enqueued = std::chrono::steady_clock::now();
     q_.push_back(std::move(req));
     VF_OBS_GAUGE("serve.queue.depth", static_cast<std::int64_t>(q_.size()));
   }
-  // Wake every waiter: a worker parked on a deadline wait for key A must
-  // also notice a fresh key-B head that a second idle worker could miss.
+  // Wake every idle worker. notify_one would also be correct (a woken
+  // worker re-checks the queue under the lock), but on serve_hot (one
+  // pinned CPU) it read slower in one set of pairs and faster in another:
+  // unresolved, so the broadcast stays.
   cv_.notify_all();
   return Admission::Accepted;
 }
@@ -87,37 +88,8 @@ std::size_t RequestQueue::shed_all(Status status) {
   return orphaned.size();
 }
 
-std::size_t RequestQueue::claim_locked(
-    const std::string& key, std::vector<PointRequest>& out,
-    std::size_t max_points, std::size_t claimed,
-    std::chrono::steady_clock::time_point now,
-    std::chrono::steady_clock::time_point& flush) {
-  for (auto it = q_.begin(); it != q_.end() && claimed < max_points;) {
-    if (it->key != key) {
-      ++it;
-      continue;
-    }
-    if (it->expired(now)) {
-      // Dead on claim: answer it here so it neither pads the batch nor
-      // waits for the next sweep (count first — see expire_sweep_locked).
-      expired_.fetch_add(1, std::memory_order_relaxed);
-      it->reply.fulfill(Status::DeadlineExceeded);
-      VF_OBS_COUNT("serve.queue.expired", 1);
-      it = q_.erase(it);
-      continue;
-    }
-    // Never hold the batch open past the earliest member's own deadline.
-    if (it->deadline < flush) flush = it->deadline;
-    claimed += it->points.size();
-    out.push_back(std::move(*it));
-    it = q_.erase(it);
-  }
-  return claimed;
-}
-
 bool RequestQueue::pop_batch(std::vector<PointRequest>& out,
-                             std::size_t max_points,
-                             std::chrono::microseconds max_delay) {
+                             std::size_t max_points) {
   out.clear();
   if (max_points == 0) max_points = 1;
   const vf::util::MutexLock lock(mu_);
@@ -133,26 +105,22 @@ bool RequestQueue::pop_batch(std::vector<PointRequest>& out,
     if (down_) return false;  // shutdown with a drained backlog
   }
 
+  // Claim the head's key as queued now and never wait for more: a batch is
+  // whatever queued while the workers were busy, so it grows with load.
+  // The sweep ran at this same instant under this same lock, so every
+  // request claimed here is live.
   const std::string key = q_.front().key;
-  // Coalescing flush point: the head's age budget, clamped by every claimed
-  // member's request deadline (claim_locked tightens it as it claims).
-  auto flush = q_.front().enqueued + max_delay;
-  std::size_t claimed = claim_locked(key, out, max_points, 0, now, flush);
-
-  // Coalescing window: park until the flush point for more same-key
-  // arrivals (each push notifies). A size-flush ends the wait early;
-  // shutdown flushes whatever has been claimed.
-  while (claimed < max_points && !down_) {
-    // vf-lint: allow(unbounded-wait) bounded by flush; loop rechecks state
-    if (cv_.wait_until(mu_, flush) == std::cv_status::timeout) break;
-    claimed = claim_locked(key, out, max_points, claimed,
-                           std::chrono::steady_clock::now(), flush);
+  std::size_t claimed = 0;
+  for (auto it = q_.begin(); it != q_.end() && claimed < max_points;) {
+    if (it->key != key) {
+      ++it;
+      continue;
+    }
+    claimed += it->points.size();
+    out.push_back(std::move(*it));
+    it = q_.erase(it);
   }
-  claimed = claim_locked(key, out, max_points, claimed,
-                         std::chrono::steady_clock::now(), flush);
   VF_OBS_GAUGE("serve.queue.depth", static_cast<std::int64_t>(q_.size()));
-  // The pre-claim sweep guarantees at least the head was live, so `out` is
-  // never empty here even if later claims expired everything they saw.
   return true;
 }
 

@@ -147,8 +147,7 @@ void Service::worker_loop() {
   omp_set_num_threads(1);
   WorkerScratch scratch;
   std::vector<PointRequest> batch;
-  while (queue_.pop_batch(batch, options_.batch_max_points,
-                          options_.batch_deadline)) {
+  while (queue_.pop_batch(batch, options_.batch_max_points)) {
     // serve_batch answers every request itself; this guard is the last
     // line of defence — an exception escaping a worker std::thread would
     // std::terminate the whole process. Reply::fail is a no-op for

@@ -11,10 +11,10 @@
 //
 // A session binds a sample cloud (a core::BoundCloud: scrubbed once,
 // indexed once) and a model key; clients then submit point queries
-// against the session. Workers coalesce concurrent same-session requests
-// into dynamic micro-batches — one feature extraction + one forward pass
-// per batch instead of per request — over the registry entry's packed
-// model, which every worker reads and none copies. Each
+// against the session. A worker serves the same-session requests that
+// queued while it was busy as one micro-batch — one feature extraction +
+// one forward pass per batch instead of per request — over the registry
+// entry's packed model, which every worker reads and none copies. Each
 // worker pins its OpenMP ICV to one thread: parallelism comes from the
 // worker pool (requests are many and small), not from data-parallel
 // kernels, so the pool never oversubscribes the machine. A model-load

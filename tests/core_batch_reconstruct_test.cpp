@@ -1,9 +1,10 @@
 // The one FCNN inference engine. Whole-grid reconstruction
 // (FcnnReconstructor) is a tiled point query through core::predict_points,
 // so the tile size, a single predict_points call over the same positions,
-// the facade's point mode and a served batch must all give the same answer
-// bit for bit, for fp64, fp16 and int8, on the cloud's own grid and on a
-// foreign one; at fp64 so must the unpacked reference (predict_points over
+// the facade's point mode and a served request — alone in its batch or
+// sharing one with every other — must all give the same answer bit for
+// bit, for fp64, fp16 and int8, on the cloud's own grid and on a foreign
+// one; at fp64 so must the unpacked reference (predict_points over
 // the row-major FcnnModel). The engine must also reuse its bound cloud
 // (and rebind a new cloud even when it lands on a freed cloud's buffers),
 // keep scratch bounded by the tile rather than the grid, and reject
@@ -27,6 +28,7 @@
 #include "vf/data/registry.hpp"
 #include "vf/sampling/samplers.hpp"
 #include "vf/serve/router.hpp"
+#include "vf/util/fault.hpp"
 
 namespace {
 
@@ -265,6 +267,11 @@ std::string case_name(const ::testing::TestParamInfo<Case>& info) {
 
 class Equivalence : public ::testing::TestWithParam<Case> {
  protected:
+  // Hermetic against env-armed failpoints; the served-batch case arms
+  // model_read itself to hold the worker busy.
+  void SetUp() override { vf::util::fault::clear(); }
+  void TearDown() override { vf::util::fault::reload_env(); }
+
   /// The target grid: the cloud's own, or a finer upscaling grid where
   /// every point is predicted.
   [[nodiscard]] UniformGrid3 grid() const {
@@ -363,6 +370,21 @@ TEST_P(Equivalence, FacadeAndServedBatchesAgree) {
   vf::api::Reconstructor facade(fo);
   const auto want = facade.reconstruct_points(s.cloud, pts).values;
 
+  // Uneven requests that together cover `pts` in order.
+  std::vector<std::vector<Vec3>> requests;
+  constexpr std::size_t kSizes[] = {1, 7, 64, 3, 200};
+  std::size_t at = 0;
+  for (const std::size_t size : kSizes) {
+    const std::size_t n = std::min(size, pts.size() - at);
+    requests.emplace_back(pts.begin() + static_cast<std::ptrdiff_t>(at),
+                          pts.begin() + static_cast<std::ptrdiff_t>(at + n));
+    at += n;
+  }
+  if (at < pts.size()) {
+    requests.emplace_back(pts.begin() + static_cast<std::ptrdiff_t>(at),
+                          pts.end());
+  }
+
   namespace fs = std::filesystem;
   const fs::path dir =
       fs::temp_directory_path() /
@@ -371,33 +393,41 @@ TEST_P(Equivalence, FacadeAndServedBatchesAgree) {
   fs::create_directories(dir);
   const std::string model_path = (dir / "model.vfmd").string();
   s.model.save(model_path);
-  std::vector<double> got;
+  // A batch's composition depends on load; check both extremes.
+  std::vector<double> alone;
+  std::vector<double> together;
   {
     vf::serve::RouterOptions ro;
     ro.shards = 1;
+    ro.shard.workers = 1;
+    ro.shard.batch_max_points = pts.size();
     ro.shard.quant = GetParam().policy;
     ro.shard.index = IndexKind::KdTree;
+    // The first model load of a session retries after 150-300 ms (the
+    // 300 ms backoff, jittered per shard) when model_read fails it.
+    ro.shard.registry.load_retry.attempts = 2;
+    ro.shard.registry.load_retry.initial_delay_ms = 300;
     vf::serve::ShardRouter router(ro);
     router.add_session("equivalence", s.cloud, model_path);
-    // Uneven requests submitted together: the service batches them as it
-    // pleases, and no answer may depend on how.
-    std::vector<std::future<vf::serve::PointResponse>> replies;
-    constexpr std::size_t kSizes[] = {1, 7, 64, 3, 200};
-    std::size_t at = 0;
-    for (const std::size_t size : kSizes) {
-      const std::size_t n = std::min(size, pts.size() - at);
-      std::vector<Vec3> chunk(pts.begin() + static_cast<std::ptrdiff_t>(at),
-                              pts.begin() + static_cast<std::ptrdiff_t>(at + n));
-      auto reply = router.submit("equivalence", std::move(chunk));
-      ASSERT_TRUE(reply.has_value());
-      replies.push_back(std::move(*reply));
-      at += n;
+    router.add_session("busy", s.cloud, model_path);
+
+    // Every request served alone: one outstanding, nothing to join it.
+    for (const auto& request : requests) {
+      const auto resp = router.query("equivalence", request);
+      ASSERT_EQ(resp.status, vf::serve::Status::Ok);
+      ASSERT_TRUE(resp.fallback.empty());
+      ASSERT_EQ(resp.batch_points, request.size());
+      alone.insert(alone.end(), resp.values.begin(), resp.values.end());
     }
-    if (at < pts.size()) {
-      auto reply = router.submit(
-          "equivalence",
-          std::vector<Vec3>(pts.begin() + static_cast<std::ptrdiff_t>(at),
-                            pts.end()));
+
+    // Every request in one micro-batch: all queue while the only worker
+    // is busy retrying "busy"'s first model load.
+    vf::util::fault::arm("model_read", {vf::util::fault::Mode::Error, 0, 1});
+    auto busy = router.submit("busy", {pts.front()});
+    ASSERT_TRUE(busy.has_value());
+    std::vector<std::future<vf::serve::PointResponse>> replies;
+    for (const auto& request : requests) {
+      auto reply = router.submit("equivalence", request);
       ASSERT_TRUE(reply.has_value());
       replies.push_back(std::move(*reply));
     }
@@ -405,15 +435,20 @@ TEST_P(Equivalence, FacadeAndServedBatchesAgree) {
       const auto resp = reply.get();
       ASSERT_EQ(resp.status, vf::serve::Status::Ok);
       ASSERT_TRUE(resp.fallback.empty());
-      got.insert(got.end(), resp.values.begin(), resp.values.end());
+      ASSERT_EQ(resp.batch_points, pts.size());
+      together.insert(together.end(), resp.values.begin(), resp.values.end());
     }
+    EXPECT_EQ(busy->get().status, vf::serve::Status::Ok);
   }
   fs::remove_all(dir);
 
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    ASSERT_TRUE(same_bits(got[i], want[i]))
-        << "point " << i << ": " << got[i] << " vs " << want[i];
+  for (const auto* got : {&alone, &together}) {
+    SCOPED_TRACE(got == &alone ? "alone" : "one micro-batch");
+    ASSERT_EQ(got->size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_TRUE(same_bits((*got)[i], want[i]))
+          << "point " << i << ": " << (*got)[i] << " vs " << want[i];
+    }
   }
 }
 

@@ -83,14 +83,12 @@ SampleCloud test_cloud() {
 }
 
 /// Chaos options: small everything — a 1-model registry under two live
-/// keys evicts on nearly every cross-key batch, millisecond breaker
-/// backoffs cycle open/half-open/close inside the soak, and a short
-/// coalescing window keeps batches flowing.
+/// keys evicts on nearly every cross-key batch, and millisecond breaker
+/// backoffs cycle open/half-open/close inside the soak.
 RouterOptions chaos_options() {
   RouterOptions ropts;
   ServiceOptions& opts = ropts.shard;
   opts.workers = 3;
-  opts.batch_deadline = 200us;
   opts.batch_max_points = 32;  // small batches: more registry traffic
   opts.queue_max = 512;
   opts.registry.max_models = 1;

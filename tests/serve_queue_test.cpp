@@ -1,8 +1,8 @@
-// RequestQueue: admission control (bounded backlog), same-key micro-batch
-// coalescing, deadline vs size flush, per-request expiry (sweep + coalescing
-// clamp), shutdown drain semantics, shed_all terminal answers, and
-// multi-producer/multi-consumer safety (run under TSan via the sanitize
-// label).
+// RequestQueue: admission control (bounded backlog), work-conserving
+// same-key micro-batches (a pop takes what is queued, never waits for more,
+// and stops at max_points), per-request expiry, shutdown drain semantics,
+// shed_all terminal answers, and multi-producer/multi-consumer safety (run
+// under TSan via the sanitize label).
 
 #include <gtest/gtest.h>
 
@@ -53,7 +53,7 @@ TEST(RequestQueue, CoalescesQueuedSameKeyRequestsIntoOneBatch) {
   ASSERT_EQ(q.push(b), Admission::Accepted);
 
   std::vector<PointRequest> batch;
-  ASSERT_TRUE(q.pop_batch(batch, /*max_points=*/64, /*max_delay=*/1ms));
+  ASSERT_TRUE(q.pop_batch(batch, /*max_points=*/64));
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0].points.size(), 2u);
   EXPECT_EQ(batch[1].points.size(), 3u);
@@ -64,56 +64,80 @@ TEST(RequestQueue, SizeFlushReturnsWithoutWaitingOutTheDeadline) {
   RequestQueue q(16);
   PointRequest a = make_request("k", 2);
   PointRequest b = make_request("k", 2);
+  PointRequest c = make_request("k", 2);
   ASSERT_EQ(q.push(a), Admission::Accepted);
   ASSERT_EQ(q.push(b), Admission::Accepted);
+  ASSERT_EQ(q.push(c), Admission::Accepted);
 
-  // max_points is already met, so the pop must not sit out the (huge)
-  // deadline window.
-  const auto start = std::chrono::steady_clock::now();
+  // max_points caps the claim: the third request waits for the next pop.
   std::vector<PointRequest> batch;
-  ASSERT_TRUE(q.pop_batch(batch, /*max_points=*/4, /*max_delay=*/60s));
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_LT(elapsed, 10s);
+  ASSERT_TRUE(q.pop_batch(batch, /*max_points=*/4));
   EXPECT_EQ(batch.size(), 2u);
+  EXPECT_EQ(q.depth(), 1u);
+  ASSERT_TRUE(q.pop_batch(batch, /*max_points=*/4));
+  EXPECT_EQ(batch.size(), 1u);
 }
 
-TEST(RequestQueue, DeadlineFlushReleasesAnUnderfullBatch) {
+TEST(RequestQueue, PopReturnsWhatIsQueuedWithoutWaiting) {
   RequestQueue q(16);
   PointRequest a = make_request("k", 1);
+  ASSERT_EQ(q.push(a), Admission::Accepted);
+
+  // A lone request is served alone, at once: there is no window to wait
+  // out for company (the bound is loose only because runners stall).
   const auto start = std::chrono::steady_clock::now();
-  ASSERT_EQ(q.push(a), Admission::Accepted);
-
   std::vector<PointRequest> batch;
-  ASSERT_TRUE(q.pop_batch(batch, /*max_points=*/64, /*max_delay=*/50ms));
-  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(q.pop_batch(batch, /*max_points=*/64));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 1s);
   ASSERT_EQ(batch.size(), 1u);
-  // The worker must have held the batch open until the head's deadline
-  // (lower bound only: upper bounds are scheduler-dependent and flaky).
-  EXPECT_GE(elapsed, 40ms);
+  EXPECT_EQ(q.depth(), 0u);
 }
 
-TEST(RequestQueue, LateSameKeyArrivalJoinsTheWaitingBatch) {
+TEST(RequestQueue, SameKeyRequestPushedAfterAPopFormsTheNextBatch) {
   RequestQueue q(16);
   PointRequest a = make_request("k", 1);
   ASSERT_EQ(q.push(a), Admission::Accepted);
 
-  std::vector<PointRequest> batch;
-  std::thread popper([&] {
-    ASSERT_TRUE(q.pop_batch(batch, /*max_points=*/64, /*max_delay=*/2s));
-  });
-  // Arrives well inside the head request's 2 s coalescing window.
-  std::this_thread::sleep_for(50ms);
-  PointRequest b = make_request("k", 1);
-  const Admission admitted = q.push(b);
+  std::vector<PointRequest> first;
+  std::thread popper(
+      [&] { ASSERT_TRUE(q.pop_batch(first, /*max_points=*/64)); });
+  // Push only once the pop has claimed `a`: the pop must not wait for a
+  // same-key arrival, so `b` is left for the next batch.
+  while (q.depth() > 0) std::this_thread::yield();
+  PointRequest b = make_request("k", 2);
+  ASSERT_EQ(q.push(b), Admission::Accepted);
   popper.join();
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0].points.size(), 1u);
 
-  if (admitted == Admission::Accepted) {
-    EXPECT_EQ(batch.size(), 2u);
-  } else {
-    // pop_batch raced to completion first (possible on a loaded runner);
-    // the head request must still have been served alone.
-    EXPECT_EQ(batch.size(), 1u);
+  std::vector<PointRequest> next;
+  ASSERT_TRUE(q.pop_batch(next, /*max_points=*/64));
+  ASSERT_EQ(next.size(), 1u);
+  EXPECT_EQ(next[0].points.size(), 2u);
+}
+
+TEST(RequestQueue, RequestsQueuedWhileNoConsumerPopsFormOneBatch) {
+  // The load case: what queues while the workers are busy is served
+  // together on the next pop, other keys staying queued in order.
+  RequestQueue q(16);
+  PointRequest a = make_request("k", 1);
+  ASSERT_EQ(q.push(a), Admission::Accepted);
+  std::vector<PointRequest> batch;
+  ASSERT_TRUE(q.pop_batch(batch, /*max_points=*/64));
+  ASSERT_EQ(batch.size(), 1u);
+
+  // The consumer is busy with `a`; four requests over two keys queue.
+  for (const char* key : {"k", "other", "k", "k"}) {
+    PointRequest req = make_request(key, 2);
+    ASSERT_EQ(q.push(req), Admission::Accepted);
   }
+  ASSERT_TRUE(q.pop_batch(batch, /*max_points=*/64));
+  ASSERT_EQ(batch.size(), 3u);
+  for (const auto& req : batch) EXPECT_EQ(req.key, "k");
+  ASSERT_TRUE(q.pop_batch(batch, /*max_points=*/64));
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].key, "other");
+  EXPECT_EQ(q.depth(), 0u);
 }
 
 TEST(RequestQueue, DifferentKeysStayInSeparateBatches) {
@@ -124,11 +148,11 @@ TEST(RequestQueue, DifferentKeysStayInSeparateBatches) {
   ASSERT_EQ(q.push(b), Admission::Accepted);
 
   std::vector<PointRequest> batch;
-  ASSERT_TRUE(q.pop_batch(batch, /*max_points=*/64, /*max_delay=*/1ms));
+  ASSERT_TRUE(q.pop_batch(batch, /*max_points=*/64));
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].key, "alpha");
 
-  ASSERT_TRUE(q.pop_batch(batch, /*max_points=*/64, /*max_delay=*/1ms));
+  ASSERT_TRUE(q.pop_batch(batch, /*max_points=*/64));
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].key, "beta");
 }
@@ -138,7 +162,7 @@ TEST(RequestQueue, OversizedRequestIsTakenWhole) {
   PointRequest a = make_request("k", 100);
   ASSERT_EQ(q.push(a), Admission::Accepted);
   std::vector<PointRequest> batch;
-  ASSERT_TRUE(q.pop_batch(batch, /*max_points=*/8, /*max_delay=*/1ms));
+  ASSERT_TRUE(q.pop_batch(batch, /*max_points=*/8));
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].points.size(), 100u);
 }
@@ -154,15 +178,15 @@ TEST(RequestQueue, ShutdownDrainsBacklogThenRefuses) {
   EXPECT_TRUE(late.reply.fulfill(Status::Draining));
 
   std::vector<PointRequest> batch;
-  EXPECT_TRUE(q.pop_batch(batch, 64, 1ms));  // drains the backlog
+  EXPECT_TRUE(q.pop_batch(batch, 64));  // drains the backlog
   EXPECT_EQ(batch.size(), 1u);
-  EXPECT_FALSE(q.pop_batch(batch, 64, 1ms));  // then reports shutdown
+  EXPECT_FALSE(q.pop_batch(batch, 64));  // then reports shutdown
 }
 
 TEST(RequestQueue, ShutdownWakesABlockedPopper) {
   RequestQueue q(16);
   std::vector<PointRequest> batch;
-  std::thread popper([&] { EXPECT_FALSE(q.pop_batch(batch, 64, 10s)); });
+  std::thread popper([&] { EXPECT_FALSE(q.pop_batch(batch, 64)); });
   std::this_thread::sleep_for(20ms);
   q.shutdown();
   popper.join();
@@ -226,29 +250,10 @@ TEST(RequestQueue, PopBatchSkipsExpiredBacklogAndServesLiveRequests) {
   ASSERT_EQ(q.push(live), Admission::Accepted);
 
   std::vector<PointRequest> batch;
-  ASSERT_TRUE(q.pop_batch(batch, /*max_points=*/64, /*max_delay=*/1ms));
+  ASSERT_TRUE(q.pop_batch(batch, /*max_points=*/64));
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].points.size(), 2u);
   EXPECT_EQ(dead_future.get().status, Status::DeadlineExceeded);
-}
-
-TEST(RequestQueue, CoalescingNeverFlushesPastTheEarliestMemberDeadline) {
-  // Head has a huge coalescing window but a member deadline well inside
-  // it: the flush must clamp to the deadline, not sit out the window.
-  RequestQueue q(16);
-  PointRequest a = make_request("k", 1);
-  a.deadline = std::chrono::steady_clock::now() + 100ms;
-  const auto start = std::chrono::steady_clock::now();
-  ASSERT_EQ(q.push(a), Admission::Accepted);
-
-  std::vector<PointRequest> batch;
-  ASSERT_TRUE(q.pop_batch(batch, /*max_points=*/64, /*max_delay=*/60s));
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  ASSERT_EQ(batch.size(), 1u);
-  // Flushed at the deadline boundary — far before the 60 s window (upper
-  // bound is generous because loaded runners stall; the point is the wait
-  // was deadline-bounded, not window-bounded).
-  EXPECT_LT(elapsed, 30s);
 }
 
 TEST(RequestQueue, ShedAllAnswersEveryQueuedRequestWithTheGivenStatus) {
@@ -280,7 +285,7 @@ TEST(RequestQueue, ConcurrentProducersAndConsumersServeEveryRequest) {
   for (int c = 0; c < 3; ++c) {
     consumers.emplace_back([&q, &served_requests] {
       std::vector<PointRequest> batch;
-      while (q.pop_batch(batch, /*max_points=*/16, /*max_delay=*/500us)) {
+      while (q.pop_batch(batch, /*max_points=*/16)) {
         for (auto& req : batch) {
           PointResponse resp;
           resp.values.assign(req.points.size(), 1.0);

@@ -1,9 +1,10 @@
 // The single-instance server — a one-shard ShardRouter — end to end:
 // micro-batched point serving, session binding, concurrent clients,
-// deadline coalescing, load shedding, per-request and default deadlines
-// (dead-on-arrival and queue-side expiry), graceful drain, the classical
-// fallback on model-load failure, hot swaps under a quantized policy, and
-// clean shutdown (TSan via the sanitize label).
+// same-session requests queued behind a busy worker sharing one batch, load
+// shedding, per-request and default deadlines (dead-on-arrival and
+// queue-side expiry), graceful drain, the classical fallback on model-load
+// failure, hot swaps under a quantized policy, and clean shutdown (TSan via
+// the sanitize label).
 
 #include <gtest/gtest.h>
 
@@ -72,6 +73,10 @@ RouterOptions one_shard(const ServiceOptions& shard) {
 class ServiceTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // Hermetic against env-armed failpoints (the chaos lane arms
+    // model_read and serve_infer process-wide): a classical answer is no
+    // model's, and the busy-worker cases arm model_read themselves.
+    vf::util::fault::clear();
     dir_ = fs::temp_directory_path() /
            ("vf_service_test_" + std::string(::testing::UnitTest::GetInstance()
                                                  ->current_test_info()
@@ -80,7 +85,24 @@ class ServiceTest : public ::testing::Test {
     model_path_ = (dir_ / "model.vfmd").string();
     tiny_model().save(model_path_);
   }
-  void TearDown() override { fs::remove_all(dir_); }
+  void TearDown() override {
+    fs::remove_all(dir_);
+    vf::util::fault::reload_env();
+  }
+
+  /// One worker that stays busy on its first batch for at least 150 ms, so
+  /// requests submitted meanwhile queue behind it: that batch's model load
+  /// fails once and is retried after a 300 ms backoff, which the router's
+  /// per-shard jitter draws from [150, 300] ms. Submit the first request
+  /// for a session that the rest of the test does not query.
+  static ServiceOptions busy_worker() {
+    ServiceOptions opts;
+    opts.workers = 1;
+    opts.registry.load_retry.attempts = 2;
+    opts.registry.load_retry.initial_delay_ms = 300;
+    vf::util::fault::arm("model_read", {vf::util::fault::Mode::Error, 0, 1});
+    return opts;
+  }
 
   fs::path dir_;
   std::string model_path_;
@@ -113,27 +135,28 @@ TEST_F(ServiceTest, UnknownSessionKeyThrows) {
 }
 
 TEST_F(ServiceTest, CoalescesConcurrentSameSessionRequests) {
-  ServiceOptions opts;
-  opts.workers = 1;
-  opts.batch_deadline = 300ms;  // generous window so both requests join
-  ShardRouter service(one_shard(opts));
+  ShardRouter service(one_shard(busy_worker()));
+  service.add_session("a", test_cloud(), model_path_);
   service.add_session("t0", test_cloud(), model_path_);
 
+  // Both "t0" requests queue while the only worker is busy with "a".
+  auto fa = service.submit("a", {{1, 1, 1}});
   auto f1 = service.submit("t0", {{1, 1, 1}});
   auto f2 = service.submit("t0", {{2, 2, 1}});
-  ASSERT_TRUE(f1 && f2);
+  ASSERT_TRUE(fa && f1 && f2);
   auto r1 = f1->get();
   auto r2 = f2->get();
   // Both rode one micro-batch: each response saw the combined point count.
   EXPECT_EQ(r1.batch_points, 2u);
   EXPECT_EQ(r2.batch_points, 2u);
-  EXPECT_EQ(service.stats().total.batches, 1u);
+  EXPECT_EQ(fa->get().batch_points, 1u);
+  // One batch for "a", then one that carried both "t0" requests.
+  EXPECT_EQ(service.stats().total.batches, 2u);
 }
 
 TEST_F(ServiceTest, ConcurrentClientsAllServed) {
   ServiceOptions opts;
   opts.workers = 3;
-  opts.batch_deadline = 200us;
   opts.queue_max = 10000;
   ShardRouter service(one_shard(opts));
   service.add_session("t0", test_cloud(), model_path_);
@@ -166,9 +189,7 @@ TEST_F(ServiceTest, ConcurrentClientsAllServed) {
 }
 
 TEST_F(ServiceTest, ShedsLoadWhenTheQueueIsFull) {
-  ServiceOptions opts;
-  opts.workers = 1;
-  opts.batch_deadline = 500ms;  // park the worker on the first key's window
+  ServiceOptions opts = busy_worker();
   opts.queue_max = 1;
   ShardRouter service(one_shard(opts));
   service.add_session("a", test_cloud(), model_path_);
@@ -178,8 +199,8 @@ TEST_F(ServiceTest, ShedsLoadWhenTheQueueIsFull) {
   std::size_t shed = 0;
   auto first = service.submit("a", {{1, 1, 1}});
   if (first) accepted.push_back(std::move(*first));
-  // While the worker coalesces key "a", key-"b" requests can only queue —
-  // the second and later must hit the 1-deep admission limit.
+  // While the worker is busy with key "a", key-"b" requests can only
+  // queue — the second and later must hit the 1-deep admission limit.
   for (int i = 0; i < 4; ++i) {
     auto f = service.submit("b", {{2, 2, 1}});
     if (f) {
@@ -290,17 +311,14 @@ TEST_F(ServiceTest, AlreadyExpiredDeadlineNeverReachesInference) {
 }
 
 TEST_F(ServiceTest, QueuedRequestPastItsDeadlineIsExpiredNotServed) {
-  ServiceOptions opts;
-  opts.workers = 1;
-  opts.batch_deadline = 400ms;  // parks the sole worker on key "a"'s window
-  ShardRouter service(one_shard(opts));
+  ShardRouter service(one_shard(busy_worker()));
   service.add_session("a", test_cloud(), model_path_);
   service.add_session("b", test_cloud(), model_path_);
 
   auto fa = service.submit("a", {{1, 1, 1}});
   ASSERT_TRUE(fa);
-  // Queued behind the parked worker with a deadline far inside the 400 ms
-  // coalescing window: by the time the worker frees up, the queue must
+  // Queued behind the busy worker with a deadline far inside its 150 ms
+  // or more of work: by the time the worker frees up, the queue must
   // expire this request instead of serving stale data.
   auto fb = service.submit("b", {{2, 2, 1}},
                            std::chrono::steady_clock::now() + 25ms);
@@ -313,9 +331,7 @@ TEST_F(ServiceTest, QueuedRequestPastItsDeadlineIsExpiredNotServed) {
 TEST_F(ServiceTest, DefaultDeadlineExpiresAQueuedRequest) {
   // QueuedRequestPastItsDeadlineIsExpiredNotServed, with the deadline
   // coming from ServiceOptions::default_deadline instead of the caller.
-  ServiceOptions opts;
-  opts.workers = 1;
-  opts.batch_deadline = 400ms;  // parks the sole worker on key "a"'s window
+  ServiceOptions opts = busy_worker();
   opts.default_deadline = 25ms;
   ShardRouter service(one_shard(opts));
   service.add_session("a", test_cloud(), model_path_);
@@ -348,14 +364,14 @@ TEST_F(ServiceTest, GenerousDeadlinesAreServedNormally) {
 // --- graceful drain ---------------------------------------------------------
 
 TEST_F(ServiceTest, BeginDrainRefusesAdmissionButServesTheBacklog) {
-  ServiceOptions opts;
-  opts.workers = 1;
-  opts.batch_deadline = 100ms;
-  ShardRouter service(one_shard(opts));
+  ShardRouter service(one_shard(busy_worker()));
+  service.add_session("a", test_cloud(), model_path_);
   service.add_session("t0", test_cloud(), model_path_);
 
+  auto busy = service.submit("a", {{1, 1, 1}});
   auto backlog = service.submit("t0", {{1, 1, 1}});
-  ASSERT_TRUE(backlog);
+  ASSERT_TRUE(busy && backlog);
+  EXPECT_GE(service.queue_depth(), 1u);  // queued behind "a"
   service.begin_drain();
   EXPECT_TRUE(service.draining());
   EXPECT_EQ(service.submit("t0", {{2, 2, 1}}), std::nullopt);
@@ -368,9 +384,7 @@ TEST_F(ServiceTest, BeginDrainRefusesAdmissionButServesTheBacklog) {
 }
 
 TEST_F(ServiceTest, DrainNeverOrphansARequestEvenOnABlownBudget) {
-  ServiceOptions opts;
-  opts.workers = 1;
-  opts.batch_deadline = 300ms;  // park the worker so a backlog builds
+  ServiceOptions opts = busy_worker();  // a backlog builds behind "a"
   opts.queue_max = 64;
   ShardRouter service(one_shard(opts));
   service.add_session("a", test_cloud(), model_path_);
@@ -402,14 +416,6 @@ TEST_F(ServiceTest, HotSwapNeverServesTheSupersededQuantizedModel) {
   // Re-registering a key drops its resident model, and the reload often
   // lands on the freed model's address. A worker's cached quantized copy
   // must follow the model it was built from, not that address.
-  // Hermetic against env-armed failpoints (the chaos lane arms model_read
-  // and serve_infer process-wide): a classical answer is no model's.
-  struct FaultsCleared {
-    FaultsCleared() { vf::util::fault::clear(); }
-    ~FaultsCleared() { vf::util::fault::reload_env(); }
-    FaultsCleared(const FaultsCleared&) = delete;
-    FaultsCleared& operator=(const FaultsCleared&) = delete;
-  } const hermetic;
   auto other = tiny_model();
   other.net = vf::nn::Network::mlp(
       static_cast<std::size_t>(vf::core::kFeatureDim), {16, 8},

@@ -182,7 +182,7 @@ TEST_F(ServeStressTest, QueueShutdownUnderLoadResolvesEveryAcceptedRequest) {
   for (int c = 0; c < kConsumers; ++c) {
     consumers.emplace_back([&] {
       std::vector<PointRequest> batch;
-      while (queue.pop_batch(batch, 32, 100us)) {
+      while (queue.pop_batch(batch, 32)) {
         for (auto& req : batch) {
           PointResponse resp;
           resp.values.assign(req.points.size(), 0.0);
@@ -244,7 +244,6 @@ TEST_F(ServeStressTest, ServiceStopUnderConcurrentClients) {
   opts.workers = 4;
   opts.queue_max = 32;
   opts.batch_max_points = 64;
-  opts.batch_deadline = 100us;
   ShardRouter service(ropts);
   service.add_session("t0", test_cloud(), save_model("t0", 7));
 

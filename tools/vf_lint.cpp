@@ -102,10 +102,9 @@
 //                    promise `.set_value(`/`.set_exception(` calls bypass
 //                    the answer-exactly-once Reply helper that the request
 //                    lifecycle guarantees rest on (DESIGN.md §12). The
-//                    deliberate sites — the Reply implementation itself,
-//                    the registry's single-flight handoff, the coalescing
-//                    window's timeout-rechecked wait — annotate with
-//                    `// vf-lint: allow(unbounded-wait) <reason>`.
+//                    deliberate sites — the Reply implementation itself
+//                    and the registry's single-flight handoff — annotate
+//                    with `// vf-lint: allow(unbounded-wait) <reason>`.
 //
 // Usage: vf_lint <dir-or-file>...   (exit 1 if any finding)
 // Wired into CTest as the `vf_lint` test over src/, tools/, bench/, and

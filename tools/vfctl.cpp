@@ -28,8 +28,8 @@
 //                     [--sessions "k1=c1.vtp:m1.vfmd;k2=c2.vtp:m2.vfmd"]
 //                     [--shards N] [--wire ndjson|binary]
 //                     [--serve-workers N] [--batch-max POINTS]
-//                     [--batch-deadline-us US] [--queue-max N]
-//                     [--deadline-ms MS] [--drain-timeout-ms MS]
+//                     [--queue-max N] [--deadline-ms MS]
+//                     [--drain-timeout-ms MS]
 //                     [--registry-max-models N] [--registry-budget-mb MB]
 //                     [--serve-port PORT] [--quant none|fp32|fp16|int8]
 //                     [--lock-order]
@@ -584,8 +584,6 @@ int cmd_serve(const util::Cli& cli) {
   opts.workers = static_cast<std::size_t>(cli.get_int("serve-workers", 2));
   opts.batch_max_points =
       static_cast<std::size_t>(cli.get_int("batch-max", 512));
-  opts.batch_deadline =
-      std::chrono::microseconds(cli.get_int("batch-deadline-us", 200));
   opts.queue_max = static_cast<std::size_t>(cli.get_int("queue-max", 256));
   opts.default_deadline =
       std::chrono::milliseconds(cli.get_int("deadline-ms", 0));
@@ -629,12 +627,9 @@ int cmd_serve(const util::Cli& cli) {
   FILE* banner = wire_mode == "binary" ? stderr : stdout;
   std::fprintf(banner,
                "serving %zu session(s) (%zu samples) across %zu shard(s), "
-               "%zu workers/shard, batch<=%zu pts, deadline %lldus, "
-               "stdin wire %s\n",
+               "%zu workers/shard, batch<=%zu pts, stdin wire %s\n",
                specs.size(), total_samples, router.shard_count(), opts.workers,
-               opts.batch_max_points,
-               static_cast<long long>(opts.batch_deadline.count()),
-               wire_mode.c_str());
+               opts.batch_max_points, wire_mode.c_str());
   std::fflush(banner);
 
   int rc = 0;
