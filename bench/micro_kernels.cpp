@@ -121,7 +121,8 @@ BENCHMARK(BM_FusedDense)->Arg(8192);
 
 // The paper network's fp64 forward over weights packed once (the grid
 // engine's and a served model's inference form), at serve micro-batch
-// sizes up to one grid tile.
+// sizes up to one grid tile: 1, 2 and 4 rows fill one 4-row register tile
+// in part or whole, 9 rows two tiles and part of a third.
 void BM_PackedForward(benchmark::State& state) {
   auto rows = static_cast<std::size_t>(state.range(0));
   const auto net = vf::nn::Network::mlp(23, {512, 256, 128, 64, 16}, 4, 7);
@@ -138,7 +139,9 @@ void BM_PackedForward(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * rows));
 }
-BENCHMARK(BM_PackedForward)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(2048);
+BENCHMARK(BM_PackedForward)
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(9)
+    ->Arg(16)->Arg(64)->Arg(2048);
 
 void BM_DelaunayBuild(benchmark::State& state) {
   auto pts = random_points(static_cast<std::size_t>(state.range(0)));

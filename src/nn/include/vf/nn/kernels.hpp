@@ -10,14 +10,16 @@
 //     (the rows present, at most Mc) into MR x Kc micro-panels (packing
 //     also absorbs the A^T / B^T operand layouts, so all three GEMM
 //     variants share one micro-kernel);
-//   - the micro-kernel accumulates an MR x NR register tile with
-//     `#pragma omp simd` FMA chains over the packed panels, then writes the
-//     tile back once — the naive kernels instead re-streamed the whole B
-//     panel from L2/L3 for every output row;
+//   - the micro-kernel accumulates a 4-row register tile over two adjacent
+//     NR-wide B micro-panels (4 x 32 doubles, 16 vector accumulators) with
+//     `#pragma omp simd` FMA chains, then writes the tile back once — the
+//     naive kernels instead re-streamed the whole B panel from L2/L3 for
+//     every output row. A forward over a few rows pads at most 3 zero rows;
 //   - the k-summation order per output element matches the naive triple
-//     loop; the only deviation is that partial sums are re-associated at
-//     Kc-panel boundaries (and FMA contraction may differ), so results
-//     agree with the reference kernels to a few ulps (~1e-13 relative),
+//     loop and does not depend on which rows share its tile; the only
+//     deviation from the naive kernels is that partial sums are
+//     re-associated at Kc-panel boundaries (and FMA contraction may
+//     differ), so results agree with them to a few ulps (~1e-13 relative),
 //     not necessarily bit-for-bit.
 //
 // Two entry points run one loop over packed B blocks. gemm_blocked packs

@@ -26,15 +26,17 @@ constexpr std::size_t kParallelWork = 1 << 14;
 namespace detail {
 namespace {
 
-// Register tile: an MR x NR accumulator block of doubles. NR = 16 is two
-// AVX-512 vectors (four AVX2/NEON vectors) per row; with MR = 8 that is 16
-// vector accumulators — enough independent FMA chains to hide FMA latency
-// while keeping 16 FMAs per 10 load micro-ops in the inner step.
-constexpr std::size_t MR = 8;
+// Register tile: an MR x 2NR accumulator block of doubles over two adjacent
+// NR-wide packed B micro-panels. NR = 16 is two AVX-512 vectors (four
+// AVX2/NEON vectors) per row; with MR = 4 that is 16 vector accumulators —
+// enough independent FMA chains to hide FMA latency while keeping 16 FMAs
+// per 8 load micro-ops in the inner step — and a forward over a few rows
+// pads at most 3 of them.
+constexpr std::size_t MR = 4;
 constexpr std::size_t NR = 16;
 // Cache blocking: the packed A block (MC x KC doubles = 192 KiB) targets
-// L2; one A micro-panel plus one B micro-panel (MR x KC + KC x NR = 36 KiB)
-// cycle through L1 inside the micro-kernel loop.
+// L2; one A micro-panel plus two B micro-panels (MR x KC + KC x 2NR =
+// 54 KiB) cycle through L1 and L2 inside the micro-kernel loop.
 constexpr std::size_t MC = 128;
 constexpr std::size_t KC = 192;
 constexpr std::size_t NC = 4096;
@@ -102,44 +104,61 @@ void pack_b(const unsigned char* b, std::size_t ldb, bool trans,
   }
 }
 
-/// MR x NR register-tile accumulation over one packed panel pair. The
-/// per-element k order matches the naive kernels; partial sums are
-/// re-associated only at Kc-panel boundaries (write_tile's accumulate),
-/// keeping the blocked path within a few ulps of the reference.
-void micro_kernel(std::size_t kc, const double* __restrict ap,
-                  const double* __restrict bp, double* __restrict acc) {
+/// MR x (P * NR) register-tile accumulation over one packed A micro-panel
+/// and P (1 or 2) adjacent packed B micro-panels. The per-element k order
+/// matches the naive kernels; partial sums are re-associated only at
+/// Kc-panel boundaries (write_tile's accumulate), keeping the blocked path
+/// within a few ulps of the reference.
+template <std::size_t P>
+[[gnu::always_inline]] inline void micro_kernel(std::size_t kc,
+                                                const double* __restrict ap,
+                                                const double* __restrict bp,
+                                                double* __restrict acc) {
+  constexpr std::size_t W = P * NR;
+  const std::size_t panel = kc * NR;
   for (std::size_t l = 0; l < kc; ++l) {
     const double* a = ap + l * MR;
     const double* b = bp + l * NR;
-#pragma GCC unroll 8
+#pragma GCC unroll 4
     for (std::size_t i = 0; i < MR; ++i) {
       const double av = a[i];
+#pragma GCC unroll 2
+      for (std::size_t q = 0; q < P; ++q) {
 #pragma omp simd
-      for (std::size_t j = 0; j < NR; ++j) acc[i * NR + j] += av * b[j];
+        for (std::size_t j = 0; j < NR; ++j) {
+          acc[i * W + q * NR + j] += av * b[q * panel + j];
+        }
+      }
     }
   }
 }
 
-/// Write an accumulated tile back to C, applying the optional epilogue.
-/// `accumulate` adds to the partial sums from earlier Kc panels; `bias`
-/// (pre-offset to this tile's first column) and `relu` fire only on the
-/// final panel.
-void write_tile(const double* acc, double* c, std::size_t ldc, std::size_t mr,
-                std::size_t nr, bool accumulate, const double* bias,
-                bool relu) {
-  if (mr == MR && nr == NR && !accumulate && !bias && !relu) {
+/// Write rows [0, mr) x columns [0, nr) of an accumulated MR x (P * NR)
+/// tile back to C, applying the optional epilogue. `accumulate` adds to the
+/// partial sums from earlier Kc panels; `bias` (pre-offset to this tile's
+/// first column) and `relu` fire only on the final panel. It is always
+/// inlined into its tile, with a compile-time row stride for `acc` and the
+/// flags as plain arguments: under GCC 12, passing a tile's arguments in a
+/// struct made BM_FusedDense/8192 (bias + ReLU on every tile) 1.85x slower.
+template <std::size_t P>
+[[gnu::always_inline]] inline void write_tile(const double* acc, double* c,
+                                              std::size_t ldc, std::size_t mr,
+                                              std::size_t nr, bool accumulate,
+                                              const double* bias, bool relu) {
+  constexpr std::size_t W = P * NR;
+  if (mr == MR && nr == W && !accumulate && !bias && !relu) {
     // Full-tile overwrite fast path (the common case of a single Kc panel).
     for (std::size_t i = 0; i < MR; ++i) {
       double* crow = c + i * ldc;
 #pragma omp simd
-      for (std::size_t j = 0; j < NR; ++j) crow[j] = acc[i * NR + j];
+      for (std::size_t j = 0; j < W; ++j) crow[j] = acc[i * W + j];
     }
     return;
   }
   for (std::size_t i = 0; i < mr; ++i) {
     double* crow = c + i * ldc;
     for (std::size_t j = 0; j < nr; ++j) {
-      double v = acc[i * NR + j];
+      double v = acc[i * W + j];
       if (accumulate) v += crow[j];
       if (bias) v += bias[j];
       if (relu && v < 0.0) v = 0.0;
@@ -152,10 +171,24 @@ constexpr std::size_t round_up(std::size_t v, std::size_t step) {
   return (v + step - 1) / step * step;
 }
 
+/// One register tile: accumulate the packed A micro-panel `ap` against the
+/// P packed B micro-panels from `bp` on, then write rows [0, mr) x columns
+/// [0, nr) of the product to `c`.
+template <std::size_t P>
+[[gnu::always_inline]] inline void multiply_tile(
+    std::size_t mr, std::size_t nr, std::size_t kc, const double* ap,
+    const double* bp, double* c, std::size_t ldc, bool accumulate,
+    const double* bias, bool relu) {
+  alignas(64) double acc[MR * P * NR] = {};
+  micro_kernel<P>(kc, ap, bp, acc);
+  write_tile<P>(acc, c, ldc, mr, nr, accumulate, bias, relu);
+}
+
 /// One MC-row band of one (Nc, Kc) block: pack the band's rows of op(A),
-/// then run the register tiles over every packed B micro-panel. `c` and
-/// `bias` are pre-offset to the block's first column; `bias`/`relu` are
-/// set only on the block's last Kc panel.
+/// then run the register tiles over every pair of packed B micro-panels
+/// (a block with an odd number of micro-panels runs its last one alone).
+/// `c` and `bias` are pre-offset to the block's first column;
+/// `bias`/`relu` are set only on the block's last Kc panel.
 void multiply_band(std::size_t ic, std::size_t m, std::size_t nc,
                    std::size_t pc, std::size_t kc, const double* a,
                    std::size_t lda, bool a_trans, const double* bpanel,
@@ -163,16 +196,19 @@ void multiply_band(std::size_t ic, std::size_t m, std::size_t nc,
                    const double* bias, bool relu) {
   const std::size_t mc = std::min(MC, m - ic);
   pack_a(a, lda, a_trans, ic, mc, pc, kc, apack);
-  for (std::size_t jr = 0; jr < nc; jr += NR) {
-    const std::size_t nr = std::min(NR, nc - jr);
+  for (std::size_t jr = 0; jr < nc; jr += 2 * NR) {
+    const std::size_t nr = std::min(2 * NR, nc - jr);
     const double* bp = bpanel + (jr / NR) * kc * NR;
     for (std::size_t ir = 0; ir < mc; ir += MR) {
       const std::size_t mr = std::min(MR, mc - ir);
       const double* ap = apack + (ir / MR) * kc * MR;
-      alignas(64) double acc[MR * NR] = {};
-      micro_kernel(kc, ap, bp, acc);
-      write_tile(acc, c + (ic + ir) * ldc + jr, ldc, mr, nr, !first,
-                 bias ? bias + jr : nullptr, relu);
+      double* ct = c + (ic + ir) * ldc + jr;
+      const double* bt = bias ? bias + jr : nullptr;
+      if (nr > NR) {
+        multiply_tile<2>(mr, nr, kc, ap, bp, ct, ldc, !first, bt, relu);
+      } else {
+        multiply_tile<1>(mr, nr, kc, ap, bp, ct, ldc, !first, bt, relu);
+      }
     }
   }
 }

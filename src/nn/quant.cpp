@@ -101,8 +101,8 @@ float fp16_decode(std::uint16_t h) {
 
 namespace {
 
-// fp32 register tile: 8 x 32 floats = 16 full-width SIMD accumulators,
-// mirroring the fp64 kernel's 8 x 16 geometry at twice the lanes. The MLP's
+// fp32 register tile: 8 x 32 floats = 16 full-width SIMD accumulators, as
+// many as the fp64 kernel's 4 x 32 doubles. The MLP's
 // inner dimensions (<= 512) fit one panel, so there is no Kc blocking: each
 // tile accumulates the full dot product and fires the bias+ReLU epilogue in
 // the same pass.

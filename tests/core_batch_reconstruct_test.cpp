@@ -370,9 +370,12 @@ TEST_P(Equivalence, FacadeAndServedBatchesAgree) {
   vf::api::Reconstructor facade(fo);
   const auto want = facade.reconstruct_points(s.cloud, pts).values;
 
-  // Uneven requests that together cover `pts` in order.
+  // Uneven requests that together cover `pts` in order. Served alone, the
+  // first seven are forwards of 1-5, 9 and 12 rows: one 4-row register tile
+  // with each count of rows present, and partial and whole tiles after
+  // whole ones.
   std::vector<std::vector<Vec3>> requests;
-  constexpr std::size_t kSizes[] = {1, 7, 64, 3, 200};
+  constexpr std::size_t kSizes[] = {1, 2, 3, 4, 5, 9, 12, 7, 64, 200};
   std::size_t at = 0;
   for (const std::size_t size : kSizes) {
     const std::size_t n = std::min(size, pts.size() - at);

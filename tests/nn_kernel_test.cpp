@@ -45,8 +45,10 @@ void expect_close(const Matrix& got, const Matrix& want, double tol = 1e-12) {
 }
 
 // (m, n, k) shapes: exact-tile, tile remainders, degenerate 1s, primes, the
-// 23-wide feature dimension, tall-skinny batches, and multi-Kc-panel depths
-// that exercise the accumulate path.
+// 23-wide feature dimension, tall-skinny batches, multi-Kc-panel depths
+// that exercise the accumulate path, and served-batch row counts (1-3 rows
+// in one zero-padded 4-row tile, 12 in three whole ones) across several
+// 32-column tiles, with and without a lone last micro-panel.
 using Shape = std::tuple<std::size_t, std::size_t, std::size_t>;
 
 class GemmEquivalence : public ::testing::TestWithParam<Shape> {};
@@ -58,7 +60,9 @@ INSTANTIATE_TEST_SUITE_P(
                       Shape{9, 17, 193}, Shape{23, 23, 23}, Shape{31, 29, 37},
                       Shape{256, 24, 23}, Shape{1000, 4, 23},
                       Shape{13, 512, 23}, Shape{129, 17, 192},
-                      Shape{8, 16, 384}, Shape{40, 50, 450}));
+                      Shape{8, 16, 384}, Shape{40, 50, 450},
+                      Shape{1, 512, 23}, Shape{2, 256, 193},
+                      Shape{3, 129, 64}, Shape{12, 128, 384}));
 
 TEST_P(GemmEquivalence, GemmMatchesNaive) {
   auto [m, n, k] = GetParam();
@@ -177,8 +181,9 @@ TEST(InferPath, MatchesTrainingForward) {
 
 // gemm_packed runs gemm_blocked's loop over a B that pack_b_panels packed
 // ahead, so the two must agree bit for bit. The shapes cross every
-// blocking boundary: m the 8-row register tile and the 128-row band, k the
-// 192-deep Kc panel, n the 16-wide register tile and the 4096-wide Nc
+// blocking boundary: m the 4-row register tile and the 128-row band, k the
+// 192-deep Kc panel, n the 16-wide micro-panel and the 32-wide register
+// tile (with and without a lone last micro-panel), and the 4096-wide Nc
 // block.
 using PackedShape = std::tuple<std::size_t, std::size_t, std::size_t>;
 
@@ -186,9 +191,9 @@ class PackedGemm : public ::testing::TestWithParam<PackedShape> {};
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, PackedGemm,
-    ::testing::Combine(::testing::Values(1, 7, 8, 9, 129),
+    ::testing::Combine(::testing::Values(1, 2, 3, 4, 7, 8, 9, 12, 129),
                        ::testing::Values(23, 191, 192, 193, 512),
-                       ::testing::Values(4, 16, 17, 512, 4097)));
+                       ::testing::Values(4, 16, 17, 32, 33, 512, 4097)));
 
 TEST_P(PackedGemm, EqualsBlockedBitForBit) {
   const auto [m, k, n] = GetParam();
@@ -212,6 +217,39 @@ TEST_P(PackedGemm, EqualsBlockedBitForBit) {
       ASSERT_EQ(std::memcmp(got.data().data(), want.data().data(),
                             want.size() * sizeof(double)),
                 0);
+    }
+  }
+}
+
+// A row's result must not depend on the rows that share its register tile:
+// the same rows taken one, two, three and four at a time sit in other rows
+// of other tiles, next to zero padding, over the same packed panels.
+TEST_P(PackedGemm, EachRowEqualsItselfComputedAlone) {
+  const auto [m, k, n] = GetParam();
+  const Matrix a = random_matrix(m, k, 501 + m);
+  const Matrix b = random_matrix(k, n, 502 + k);
+  const Matrix bias = random_matrix(1, n, 503 + n);
+  std::vector<double> panels(vf::nn::detail::packed_b_size(k, n));
+  vf::nn::detail::pack_b_panels(k, n, b.data().data(), panels.data());
+  for (const bool with_bias : {false, true}) {
+    for (const bool relu : {false, true}) {
+      const double* bp = with_bias ? bias.row(0) : nullptr;
+      Matrix whole(m, n);
+      vf::nn::detail::gemm_packed(m, n, k, a.data().data(), k, panels.data(),
+                                  whole.data().data(), n, bp, relu);
+      for (const std::size_t rows : {1, 2, 3, 4}) {
+        SCOPED_TRACE(std::to_string(rows) + " at a time" +
+                     (with_bias ? ", bias" : "") + (relu ? ", relu" : ""));
+        Matrix parts(m, n);
+        for (std::size_t r = 0; r < m; r += rows) {
+          vf::nn::detail::gemm_packed(std::min(rows, m - r), n, k, a.row(r),
+                                      k, panels.data(), parts.row(r), n, bp,
+                                      relu);
+        }
+        ASSERT_EQ(std::memcmp(parts.data().data(), whole.data().data(),
+                              whole.size() * sizeof(double)),
+                  0);
+      }
     }
   }
 }
