@@ -91,8 +91,9 @@ void index_crossover_sweep(vf::obs::BenchRecorder& rec) {
         [&] { grid.knn_batch(sweep.data(), q, k, nidx.data(), nd2.data()); });
 
     const auto pick = vf::spatial::select_index_kind(kPoints, q);
-    vf::bench::row({std::to_string(q), vf::bench::fmt(q / kd_s, 0),
-                    vf::bench::fmt(q / grid_s, 0),
+    const auto queries = static_cast<double>(q);
+    vf::bench::row({std::to_string(q), vf::bench::fmt(queries / kd_s, 0),
+                    vf::bench::fmt(queries / grid_s, 0),
                     vf::bench::fmt(kd_s / grid_s),
                     vf::spatial::to_string(pick)});
     for (const auto& [name, secs] :
@@ -101,10 +102,10 @@ void index_crossover_sweep(vf::obs::BenchRecorder& rec) {
       vf::obs::BenchPhase phase;
       phase.name = std::string(name) + "_knn5_q" + std::to_string(q);
       phase.wall_seconds = secs;
-      phase.items = static_cast<double>(q);
+      phase.items = queries;
       rec.add_phase(phase);
       rec.set_metric(std::string(name) + "_qps_q" + std::to_string(q),
-                     q / secs);
+                     queries / secs);
     }
   }
 }
@@ -161,15 +162,15 @@ int main(int argc, char** argv) {
       Matrix X = core::extract_features(freq);
       mask_neighbors(X, k);
       Matrix Y = model.predict(X);
-      field::ScalarField rec(truth.grid(), "rec");
+      field::ScalarField recon(truth.grid(), "rec");
       const auto& kept = cloud.kept_indices();
       for (std::size_t i = 0; i < kept.size(); ++i) {
-        rec[kept[i]] = cloud.values()[i];
+        recon[kept[i]] = cloud.values()[i];
       }
       for (std::size_t i = 0; i < voids.size(); ++i) {
-        rec[voids[i]] = Y(i, 0);
+        recon[voids[i]] = Y(i, 0);
       }
-      cells.push_back(bench::fmt(field::snr_db(truth, rec)));
+      cells.push_back(bench::fmt(field::snr_db(truth, recon)));
     }
     bench::row(cells);
     for (std::size_t i = 1; i < cells.size(); ++i) {

@@ -1,7 +1,8 @@
 // Google-benchmark micro benchmarks for the performance-critical kernels:
-// k-d tree construction/query, GEMM, Delaunay insertion + location, the
-// samplers, and feature extraction. These track regressions in the
-// substrate that every figure-level bench depends on.
+// k-d tree construction/query, the grid hash's batched sweep, GEMM,
+// Delaunay insertion + location, the samplers, and feature extraction.
+// These track regressions in the substrate that every figure-level bench
+// depends on.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,7 @@
 #include "vf/nn/matrix.hpp"
 #include "vf/nn/network.hpp"
 #include "vf/nn/quant.hpp"
+#include "vf/spatial/grid_hash.hpp"
 #include "vf/spatial/kdtree.hpp"
 #include "vf/util/rng.hpp"
 
@@ -200,6 +202,51 @@ void BM_FeatureExtraction(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_FeatureExtraction)->Arg(1000)->Arg(10000);
+
+// The grid hash's batched k-NN on the in-situ step's cloud: 5 % of a
+// 32x32x16 ionization timestep. Argument 1 = 0 sweeps every void point in
+// grid order (the step's training-set and evaluation sweeps); 4 cycles
+// through 4-point batches at uniform random positions (a served read on
+// the live session). items_per_second is queries per second.
+void BM_GridHashSweep(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  auto ds = vf::data::make_dataset("ionization");
+  auto truth = ds->generate({32, 32, 16}, 3.0);
+  vf::sampling::ImportanceSampler sampler;
+  auto cloud = sampler.sample(truth, 0.05, 1);
+  const vf::spatial::GridHashIndex index(cloud.points());
+  std::vector<Vec3> queries;
+  std::size_t batch = static_cast<std::size_t>(state.range(1));
+  if (batch == 0) {
+    for (const std::int64_t v : cloud.void_indices()) {
+      queries.push_back(truth.grid().position(v));
+    }
+    batch = queries.size();
+  } else {
+    const Vec3 lo = truth.grid().position(0);
+    const Vec3 hi = truth.grid().position(truth.grid().point_count() - 1);
+    vf::util::Rng rng(19);
+    for (int i = 0; i < 1024; ++i) {
+      queries.push_back({rng.uniform(lo.x, hi.x), rng.uniform(lo.y, hi.y),
+                         rng.uniform(lo.z, hi.z)});
+    }
+  }
+  const auto uk = static_cast<std::size_t>(k);
+  std::vector<std::uint32_t> indices(batch * uk);
+  std::vector<double> dist2(batch * uk);
+  std::size_t at = 0;
+  for (auto _ : state) {
+    index.knn_batch(queries.data() + at, batch, k, indices.data(),
+                    dist2.data());
+    benchmark::DoNotOptimize(indices.data());
+    benchmark::DoNotOptimize(dist2.data());
+    benchmark::ClobberMemory();
+    at = (at + batch) % queries.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * batch));
+}
+BENCHMARK(BM_GridHashSweep)->ArgNames({"k", "batch"})
+    ->Args({5, 0})->Args({8, 0})->Args({5, 4});
 
 void BM_NearestReconstruct(benchmark::State& state) {
   auto ds = vf::data::make_dataset("hurricane");

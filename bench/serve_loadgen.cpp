@@ -257,7 +257,11 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> keys;
   keys.reserve(static_cast<std::size_t>(n_sessions));
-  for (int i = 0; i < n_sessions; ++i) keys.push_back("t" + std::to_string(i));
+  for (int i = 0; i < n_sessions; ++i) {
+    // Appended: `"t" + to_string(i)` trips GCC 12's false -Wrestrict.
+    keys.emplace_back("t");
+    keys.back() += std::to_string(i);
+  }
 
   const auto bounds = truth.grid().bounds();
   const Vec3 lo = bounds.min;
@@ -368,7 +372,7 @@ int main(int argc, char** argv) {
         wire::Request parsed;
         std::string error;
         if (!wire::parse_request(line, parsed, error)) return 1;
-        sink += wire::render_json(resp).size();
+        sink = sink + wire::render_json(resp).size();
       }
       const double s = std::chrono::duration<double>(Clock::now() - t0).count();
       ndjson_ops = s > 0.0 ? wire_iters / s : 0.0;
@@ -389,7 +393,7 @@ int main(int argc, char** argv) {
             wire::FrameStatus::Ok) {
           return 1;
         }
-        sink += wire::encode_response_frame(resp).size();
+        sink = sink + wire::encode_response_frame(resp).size();
       }
       const double s = std::chrono::duration<double>(Clock::now() - t0).count();
       binary_ops = s > 0.0 ? wire_iters / s : 0.0;

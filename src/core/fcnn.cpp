@@ -52,55 +52,6 @@ std::vector<std::size_t> FcnnConfig::pyramid(int layers) {
   return hidden;
 }
 
-namespace {
-
-/// Stack rows of `parts` vertically into one matrix.
-Matrix vstack(const std::vector<Matrix>& parts) {
-  std::size_t rows = 0;
-  std::size_t cols = parts.empty() ? 0 : parts.front().cols();
-  for (const auto& p : parts) rows += p.rows();
-  Matrix out(rows, cols);
-  std::size_t at = 0;
-  for (const auto& p : parts) {
-    for (std::size_t r = 0; r < p.rows(); ++r) {
-      std::copy(p.row(r), p.row(r) + cols, out.row(at++));
-    }
-  }
-  return out;
-}
-
-/// Feature matrix for grid points named by `indices` against a prebuilt
-/// index (FeatureRequest assembly in one place for the four call sites).
-Matrix grid_features(const vf::spatial::NeighborIndex& index,
-                     const std::vector<double>& values,
-                     const UniformGrid3& grid,
-                     const std::vector<std::int64_t>& indices) {
-  FeatureRequest req;
-  req.tree = &index;
-  req.values = &values;
-  req.grid = &grid;
-  req.indices = &indices;
-  return extract_features(req);
-}
-
-/// Keep a random subset of rows (same permutation applied to X and Y).
-void subset_rows(Matrix& X, Matrix& Y, std::size_t keep, std::uint64_t seed) {
-  if (keep >= X.rows()) return;
-  std::vector<std::size_t> order(X.rows());
-  std::iota(order.begin(), order.end(), 0u);
-  vf::util::Rng rng(seed, 0x726f7773);
-  rng.shuffle(order);
-  Matrix Xs(keep, X.cols()), Ys(keep, Y.cols());
-  for (std::size_t r = 0; r < keep; ++r) {
-    std::copy(X.row(order[r]), X.row(order[r]) + X.cols(), Xs.row(r));
-    std::copy(Y.row(order[r]), Y.row(order[r]) + Y.cols(), Ys.row(r));
-  }
-  X = std::move(Xs);
-  Y = std::move(Ys);
-}
-
-}  // namespace
-
 TrainingSet build_training_set(const ScalarField& truth,
                                const Sampler& sampler,
                                const FcnnConfig& config) {
@@ -108,22 +59,20 @@ TrainingSet build_training_set(const ScalarField& truth,
     throw std::invalid_argument("build_training_set: no train fractions");
   }
   VF_OBS_SPAN("build_training_set");
-  std::vector<Matrix> xs, ys;
+  // The set is every fraction's voids stacked, then a seeded shuffle of
+  // that stack cut to `keep` rows. Sample first, draw the shuffle over the
+  // stacked count, and build features and targets for the kept rows only.
+  std::vector<SampleCloud> clouds;
+  std::vector<std::vector<std::int64_t>> voids;
+  std::size_t total = 0;
   std::uint64_t seed = config.seed;
   for (double frac : config.train_fractions) {
-    SampleCloud cloud = sampler.sample(truth, frac, seed++);
-    auto voids = cloud.void_indices();
-    // One explicit index per sampled cloud, shared by every feature query
-    // of this fraction rather than rebuilt inside extract_features. The
-    // void sweep is dense, so Auto resolves to the grid-hash.
-    auto index = vf::spatial::build_index(
-        cloud.points(), vf::spatial::IndexKind::Auto, voids.size());
-    xs.push_back(grid_features(*index, cloud.values(), truth.grid(), voids));
-    ys.push_back(extract_targets(truth, voids, config.with_gradients));
+    clouds.push_back(sampler.sample(truth, frac, seed++));
+    voids.push_back(clouds.back().void_indices());
+    total += voids.back().size();
   }
-  TrainingSet set{vstack(xs), vstack(ys)};
 
-  std::size_t keep = set.X.rows();
+  std::size_t keep = total;
   if (config.train_subset < 1.0) {
     keep = static_cast<std::size_t>(config.train_subset *
                                     static_cast<double>(keep));
@@ -131,8 +80,52 @@ TrainingSet build_training_set(const ScalarField& truth,
   if (config.max_train_rows > 0) {
     keep = std::min(keep, config.max_train_rows);
   }
-  keep = std::max<std::size_t>(keep, 1);
-  subset_rows(set.X, set.Y, keep, config.seed ^ 0xabcdu);
+  keep = std::min(std::max<std::size_t>(keep, 1), total);
+  // Row r of the set is stacked row order[r]; every row kept stays in
+  // stacked order.
+  std::vector<std::size_t> order(total);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  if (keep < total) {
+    vf::util::Rng rng(config.seed ^ 0xabcdu, 0x726f7773);
+    rng.shuffle(order);
+  }
+  std::vector<std::size_t> row_of(total, keep);  // keep: not kept
+  for (std::size_t r = 0; r < keep; ++r) row_of[order[r]] = r;
+
+  const int width =
+      config.with_gradients ? kTargetDimGrad : kTargetDimScalar;
+  TrainingSet set{Matrix(keep, static_cast<std::size_t>(kFeatureDim)),
+                  Matrix(keep, static_cast<std::size_t>(width))};
+  // One fraction's kept voids in sweep order, and their rows in the set.
+  std::vector<std::int64_t> kept;
+  std::vector<std::size_t> rows;
+  std::size_t stacked = 0;
+  for (std::size_t f = 0; f < clouds.size(); ++f) {
+    kept.clear();
+    rows.clear();
+    for (const std::int64_t v : voids[f]) {
+      if (row_of[stacked] < keep) {
+        kept.push_back(v);
+        rows.push_back(row_of[stacked]);
+      }
+      ++stacked;
+    }
+    // The index kind is the one Auto picks for the fraction's whole void
+    // sweep, so each row is the one the full set would hold.
+    const auto index = vf::spatial::build_index(
+        clouds[f].points(), vf::spatial::IndexKind::Auto, voids[f].size());
+    FeatureRequest req;
+    req.tree = index.get();
+    req.values = &clouds[f].values();
+    req.grid = &truth.grid();
+    req.indices = &kept;
+    const Matrix X = extract_features(req);
+    const Matrix Y = extract_targets(truth, kept, config.with_gradients);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      std::copy(X.row(i), X.row(i) + X.cols(), set.X.row(rows[i]));
+      std::copy(Y.row(i), Y.row(i) + Y.cols(), set.Y.row(rows[i]));
+    }
+  }
   return set;
 }
 

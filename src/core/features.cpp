@@ -103,7 +103,7 @@ void extract_features_into(const vf::spatial::NeighborIndex& index,
   if (count == 0) return;
 
   // Stage 1 — batched k-NN into SoA scratch. GridHashIndex answers this
-  // with the cell-order sweep; KdTree with per-thread query scratch.
+  // with the cell-grouped sweep; KdTree with per-thread query scratch.
   constexpr auto uk = static_cast<std::size_t>(kNeighbors);
   scratch.indices.resize(count * uk);
   scratch.dist2.resize(count * uk);

@@ -41,21 +41,24 @@ void DenseLayer::forward(const Matrix& input, Matrix& output) {
 }
 
 void DenseLayer::backward(const Matrix& grad_output, Matrix& grad_input) {
-  VF_REQUIRE(grad_output.rows() == input_.rows() &&
-                 grad_output.cols() == weights_.cols(),
-             "DenseLayer::backward: grad shape != forward output shape");
-  if (trainable_) {
-    // dW = x^T . dy ; db = column sums of dy. Accumulate across the batch.
-    ensure_grads();
-    Matrix wg, bg;
-    gemm_at_b(input_, grad_output, wg);
-    sum_rows(grad_output, bg);
-    axpy(1.0, wg, w_grad_);
-    axpy(1.0, bg, b_grad_);
-  }
+  backward_params(grad_output);
   // dx = dy . W^T — always needed so deeper (possibly trainable) layers
   // receive their gradients even when this layer is frozen.
   gemm_a_bt(grad_output, weights_, grad_input);
+}
+
+void DenseLayer::backward_params(const Matrix& grad_output) {
+  VF_REQUIRE(grad_output.rows() == input_.rows() &&
+                 grad_output.cols() == weights_.cols(),
+             "DenseLayer::backward: grad shape != forward output shape");
+  if (!trainable_) return;
+  // dW = x^T . dy ; db = column sums of dy. Accumulate across the batch.
+  ensure_grads();
+  Matrix wg, bg;
+  gemm_at_b(input_, grad_output, wg);
+  sum_rows(grad_output, bg);
+  axpy(1.0, wg, w_grad_);
+  axpy(1.0, bg, b_grad_);
 }
 
 std::vector<Param> DenseLayer::params() {

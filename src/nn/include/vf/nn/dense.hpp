@@ -25,6 +25,7 @@ class DenseLayer final : public Layer {
   [[nodiscard]] std::string kind() const override { return "dense"; }
   void forward(const Matrix& input, Matrix& output) override;
   void backward(const Matrix& grad_output, Matrix& grad_input) override;
+  void backward_params(const Matrix& grad_output) override;
   std::vector<Param> params() override;
   void zero_grad() override;
   [[nodiscard]] std::size_t output_size(std::size_t) const override {

@@ -3,8 +3,10 @@
 //
 // A layer maps a (batch x in) matrix to (batch x out) in forward(), and in
 // backward() consumes dLoss/dOutput, accumulates its parameter gradients,
-// and returns dLoss/dInput. Layers expose their parameters as Param handles
-// so the optimizer and the serializer stay layer-agnostic.
+// and returns dLoss/dInput; backward_params() does only the accumulation,
+// for the network's first layer, whose dLoss/dInput nothing reads. Layers
+// expose their parameters as Param handles so the optimizer and the
+// serializer stay layer-agnostic.
 //
 // `trainable` implements the paper's fine-tuning Case 2 (§III, Fig 5):
 // freezing all but the last two layers. Frozen layers still propagate input
@@ -38,6 +40,10 @@ class Layer {
 
   /// Backward pass for the most recent forward() batch.
   virtual void backward(const Matrix& grad_output, Matrix& grad_input) = 0;
+
+  /// The parameter-gradient half of backward() alone (no-op for layers
+  /// without parameters).
+  virtual void backward_params(const Matrix& /*grad_output*/) {}
 
   /// Parameter handles (empty for activations).
   virtual std::vector<Param> params() { return {}; }

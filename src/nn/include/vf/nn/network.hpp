@@ -57,7 +57,8 @@ class Network {
   void infer(const Matrix& input, Matrix& output, InferScratch& scratch) const;
 
   /// Backward pass for the most recent forward() batch; accumulates
-  /// parameter gradients in the layers.
+  /// parameter gradients in the layers. The gradient with respect to the
+  /// network's input is not computed.
   void backward(const Matrix& grad_output);
 
   /// All parameter handles, in layer order.

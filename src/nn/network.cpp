@@ -105,10 +105,13 @@ void Network::backward(const Matrix& grad_output) {
   if (layers_.empty()) return;
   grads_.resize(layers_.size());
   const Matrix* cur = &grad_output;
-  for (std::size_t i = layers_.size(); i-- > 0;) {
+  for (std::size_t i = layers_.size(); i-- > 1;) {
     layers_[i]->backward(*cur, grads_[i]);
     cur = &grads_[i];
   }
+  // Nothing reads the gradient with respect to the network's input, so the
+  // first layer skips it (for a dense layer, the dy . W^T GEMM).
+  layers_[0]->backward_params(*cur);
 }
 
 std::vector<Param> Network::params() {

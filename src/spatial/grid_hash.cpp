@@ -56,6 +56,9 @@ GridHashIndex::GridHashIndex(std::vector<Vec3> points, double target_per_cell)
   }
   origin_ = lo;
   const double ext[3] = {hi.x - lo.x, hi.y - lo.y, hi.z - lo.z};
+  face_slack_ = 1e-12 * std::max({std::abs(lo.x), std::abs(lo.y),
+                                  std::abs(lo.z), std::abs(hi.x),
+                                  std::abs(hi.y), std::abs(hi.z)});
 
   // Size the grid to ~target_per_cell points per cell, splitting cells
   // across the active (non-degenerate) axes in proportion to their extent
@@ -163,7 +166,10 @@ double GridHashIndex::ring_bound2(const Vec3& q, int cx, int cy, int cz,
   if (cz + r < ncz_ - 1) d = std::min(d, origin_.z + h_.z * (cz + r + 1) - q.z);
   if (cz - r > 0) d = std::min(d, q.z - (origin_.z + h_.z * (cz - r)));
   if (d == kInf) return kInf;
-  d = std::max(d, 0.0);
+  // A sample on a face can compute an ulp closer than the face (seen on
+  // grid-placed lattices): shrink the bound by far more than rounding, so
+  // no unscanned point is ever inside it.
+  d = std::max(d * (1.0 - 1e-12) - face_slack_, 0.0);
   return d * d;
 }
 
@@ -189,23 +195,26 @@ void GridHashIndex::knn(const Vec3& query, int k,
         if (d2 <= worst) worst = sorted_insert(out, cap, order_[i], d2);
       }
     });
-    if (out.size() == cap && worst <= ring_bound2(query, cx, cy, cz, r)) {
+    // Strictly below: an unscanned point exactly at the bound could tie
+    // the k-th distance with a smaller index.
+    if (out.size() == cap && worst < ring_bound2(query, cx, cy, cz, r)) {
       break;
     }
   }
 }
 
 struct GridHashIndex::SweepCache {
-  std::int64_t cell = -1;  // home cell id the candidates belong to
+  std::uint64_t cell = ~std::uint64_t{0};  // home cell of the candidates
   int cx = 0, cy = 0, cz = 0;
-  int ring_hi = -1;        // shells [0..ring_hi] gathered
-  bool exhausted = false;  // gathered box covers the whole grid
+  // Candidates [ring_end[r-1], ring_end[r]) are shell r's points.
+  std::vector<std::size_t> ring_end;
   vf::util::AlignedVector<double> xs, ys, zs;  // candidate coordinates (SoA)
   std::vector<std::uint32_t> idx;              // candidate original indices
   vf::util::AlignedVector<double> d2;          // per-query distance scratch
 };
 
-void GridHashIndex::gather_ring(SweepCache& cache, int r) const {
+void GridHashIndex::gather_ring(SweepCache& cache) const {
+  const int r = static_cast<int>(cache.ring_end.size());
   for_each_ring_cell(cache.cx, cache.cy, cache.cz, r, [&](int x, int y,
                                                           int z) {
     const auto c = (static_cast<std::size_t>(z) * ncy_ + y) * ncx_ + x;
@@ -215,10 +224,42 @@ void GridHashIndex::gather_ring(SweepCache& cache, int r) const {
     cache.zs.insert(cache.zs.end(), zs_.begin() + b, zs_.begin() + e);
     cache.idx.insert(cache.idx.end(), order_.begin() + b, order_.begin() + e);
   });
-  cache.ring_hi = r;
-  cache.exhausted = cache.cx - r <= 0 && cache.cx + r >= ncx_ - 1 &&
-                    cache.cy - r <= 0 && cache.cy + r >= ncy_ - 1 &&
-                    cache.cz - r <= 0 && cache.cz + r >= ncz_ - 1;
+  cache.ring_end.push_back(cache.idx.size());
+  cache.d2.resize(cache.idx.size());
+}
+
+void GridHashIndex::scan_cached(SweepCache& cache, const Vec3& q,
+                                std::size_t k,
+                                std::vector<Neighbor>& sel) const {
+  // Scan shell by shell, gathering a shell the first time any query of
+  // the cell needs it, until the k-th distance is strictly below the bound
+  // on every unscanned point. The selection is then exactly brute force's.
+  sel.clear();
+  double worst = kInf;
+  std::size_t begin = 0;
+  for (int r = 0;; ++r) {
+    if (static_cast<std::size_t>(r) == cache.ring_end.size()) {
+      gather_ring(cache);
+    }
+    const std::size_t end = cache.ring_end[static_cast<std::size_t>(r)];
+    const double* cxs = cache.xs.data();
+    const double* cys = cache.ys.data();
+    const double* czs = cache.zs.data();
+    double* cd2 = cache.d2.data();
+#pragma omp simd
+    for (std::size_t i = begin; i < end; ++i) {
+      const double dx = cxs[i] - q.x;
+      const double dy = cys[i] - q.y;
+      const double dz = czs[i] - q.z;
+      cd2[i] = dx * dx + dy * dy + dz * dz;
+    }
+    for (std::size_t i = begin; i < end; ++i) {
+      if (cd2[i] <= worst) worst = sorted_insert(sel, k, cache.idx[i], cd2[i]);
+    }
+    begin = end;
+    const double bound = ring_bound2(q, cache.cx, cache.cy, cache.cz, r);
+    if (bound == kInf || (sel.size() == k && worst < bound)) return;
+  }
 }
 
 void GridHashIndex::knn_batch(const Vec3* queries, std::size_t count, int k,
@@ -227,66 +268,56 @@ void GridHashIndex::knn_batch(const Vec3* queries, std::size_t count, int k,
   VF_REQUIRE(k >= 1, "knn_batch: k must be >= 1");
   VF_REQUIRE(points_.size() >= static_cast<std::size_t>(k),
              "knn_batch: cloud smaller than k");
+  VF_REQUIRE(count <= std::numeric_limits<std::uint32_t>::max(),
+             "knn_batch: more queries than a 32-bit query number holds");
   VF_OBS_COUNT("spatial.grid_hash.batch_queries", count);
   const auto uk = static_cast<std::size_t>(k);
-  // vf-par: disjoint-writes — iteration i writes only rows i of the output
-  // arrays; the sweep cache and selection buffer are thread-private. Static
-  // scheduling keeps each thread's query range contiguous so the cell-order
-  // sweep re-uses its gathered candidates.
+
+  // Visit the queries grouped by home cell, so each cell's shells are
+  // gathered once per call. The key is (cell, query number): sorting it
+  // costs O(count log count), nothing per grid cell, and keeps each cell's
+  // queries in input order.
+  std::vector<std::uint64_t> by_cell(count);
+  for (std::size_t qi = 0; qi < count; ++qi) {
+    int cx = 0, cy = 0, cz = 0;
+    home_cell(queries[qi], cx, cy, cz);
+    const auto cell = (static_cast<std::uint64_t>(cz) * ncy_ + cy) * ncx_ +
+                      static_cast<std::uint64_t>(cx);
+    by_cell[qi] = cell << 32 | qi;
+  }
+  std::sort(by_cell.begin(), by_cell.end());
+  const auto cell_at = [&](std::size_t s) { return by_cell[s] >> 32; };
+
+  // vf-par: disjoint-writes — each sorted entry names a distinct query and
+  // writes only that query's rows of the output arrays; the sweep cache and
+  // selection buffer are thread-private. Static scheduling hands each
+  // thread a contiguous run of cells.
 #pragma omp parallel
   {
     SweepCache cache;
     std::vector<Neighbor> sel;
 #pragma omp for schedule(static)
-    for (std::int64_t qi = 0; qi < static_cast<std::int64_t>(count); ++qi) {
-      const Vec3& q = queries[qi];
-      int cx = 0, cy = 0, cz = 0;
-      home_cell(q, cx, cy, cz);
-      const auto cell = static_cast<std::int64_t>(
-          (static_cast<std::size_t>(cz) * ncy_ + cy) * ncx_ + cx);
-      if (cell != cache.cell) {
-        cache.cell = cell;
-        cache.cx = cx; cache.cy = cy; cache.cz = cz;
-        cache.ring_hi = -1;
-        cache.exhausted = false;
-        cache.xs.clear(); cache.ys.clear(); cache.zs.clear();
-        cache.idx.clear();
-      }
-      // Gather shells until at least k candidates are cached.
-      while (!cache.exhausted && cache.idx.size() < uk) {
-        gather_ring(cache, cache.ring_hi + 1);
-      }
-      for (;;) {
-        const std::size_t m = cache.idx.size();
-        cache.d2.resize(m);
-        const double* cxs = cache.xs.data();
-        const double* cys = cache.ys.data();
-        const double* czs = cache.zs.data();
-        double* cd2 = cache.d2.data();
-#pragma omp simd
-        for (std::size_t i = 0; i < m; ++i) {
-          const double dx = cxs[i] - q.x;
-          const double dy = cys[i] - q.y;
-          const double dz = czs[i] - q.z;
-          cd2[i] = dx * dx + dy * dy + dz * dz;
+    for (std::int64_t si = 0; si < static_cast<std::int64_t>(count); ++si) {
+      const auto s = static_cast<std::size_t>(si);
+      const std::uint64_t cell = cell_at(s);
+      const std::size_t qi = by_cell[s] & 0xffffffffu;
+      if ((s == 0 || cell_at(s - 1) != cell) &&
+          (s + 1 == count || cell_at(s + 1) != cell)) {
+        // The only query of its cell walks the cells in place: copying
+        // shells no other query reads costs more than it saves.
+        knn(queries[qi], k, sel);
+      } else {
+        if (cell != cache.cell) {
+          cache.cell = cell;
+          home_cell(queries[qi], cache.cx, cache.cy, cache.cz);
+          cache.ring_end.clear();
+          cache.xs.clear(); cache.ys.clear(); cache.zs.clear();
+          cache.idx.clear();
         }
-        sel.clear();
-        double worst = kInf;
-        for (std::size_t i = 0; i < m; ++i) {
-          if (cd2[i] <= worst) {
-            worst = sorted_insert(sel, uk, cache.idx[i], cd2[i]);
-          }
-        }
-        if (cache.exhausted ||
-            (sel.size() == uk &&
-             worst <= ring_bound2(q, cache.cx, cache.cy, cache.cz,
-                                  cache.ring_hi))) {
-          break;
-        }
-        gather_ring(cache, cache.ring_hi + 1);
+        scan_cached(cache, queries[qi], uk, sel);
       }
       VF_ASSERT(sel.size() == uk, "knn_batch: short row from full cloud");
-      const auto row = static_cast<std::size_t>(qi) * uk;
+      const auto row = qi * uk;
       for (std::size_t j = 0; j < uk; ++j) {
         indices[row + j] = sel[j].index;
         dist2[row + j] = sel[j].dist2;

@@ -2,19 +2,23 @@
 // Uniform grid-hash (bucketed cell) neighbour index.
 //
 // The void points the FCNN reconstructs are a regular grid sweep over the
-// volume, so the query stream has extreme spatial locality: consecutive
-// queries land in the same or an adjacent cell. This index exploits that.
+// volume, so many queries share each cell. This index exploits that.
 // Points are bucketed into a uniform grid sized at ~2 points per occupied
 // volume cell and stored in CSR layout with SoA coordinates, so a k-NN
 // query is: locate the home cell, scan outward in Chebyshev shells, and
-// stop once the k-th best distance is closer than the nearest unscanned
-// cell face. `knn_batch` sweeps queries in order and keeps the gathered
-// candidate buckets of the current home cell cached, so adjacent void
-// points re-use the gather instead of re-walking the grid — the amortised
-// cost per query at grid density is a handful of SIMD distance evaluations.
+// stop once the k-th best distance is strictly closer than the nearest
+// unscanned cell face, less a rounding margin. `knn_batch` visits the
+// queries grouped by home cell (a sort of the batch's (cell, query) keys,
+// with no per-cell work) and copies each shell's points into a per-cell
+// candidate list the first time one of the cell's queries needs that
+// shell; the cell's later queries scan the list shell by shell, a handful
+// of SIMD distance evaluations each, so each cell's shells are gathered
+// once per call. A cell with one query in the batch walks in place.
 //
-// Results are exact (same distances as brute force); ties broken by
-// ascending original index, matching brute_force_knn.
+// Results are exact (same distances as brute force), with ties broken by
+// ascending original index in `knn` and `knn_batch` alike, matching
+// brute_force_knn: a row does not depend on which other queries share its
+// batch.
 
 #include <array>
 #include <cstddef>
@@ -46,8 +50,8 @@ class GridHashIndex final : public NeighborIndex {
            std::vector<Neighbor>& out) const override;
   using NeighborIndex::knn;
 
-  /// Cell-order sweep: candidate buckets gathered for one home cell are
-  /// re-used by every subsequent query in that cell.
+  /// Cell-grouped sweep: the shells gathered for one home cell are reused
+  /// by every query of the batch in that cell.
   void knn_batch(const vf::field::Vec3* queries, std::size_t count, int k,
                  std::uint32_t* indices, double* dist2) const override;
 
@@ -63,11 +67,16 @@ class GridHashIndex final : public NeighborIndex {
   template <typename CellFn>
   void for_each_ring_cell(int cx, int cy, int cz, int r, CellFn&& fn) const;
   /// Squared distance from `q` to the nearest cell face outside the
-  /// already-scanned box of radius `r` around (cx,cy,cz); +inf when the box
-  /// covers the whole grid. Any unscanned point is at least this far away.
+  /// already-scanned box of radius `r` around (cx,cy,cz), less a rounding
+  /// margin; +inf when the box covers the whole grid. Every unscanned
+  /// point's computed squared distance is at least this.
   [[nodiscard]] double ring_bound2(const vf::field::Vec3& q, int cx, int cy,
                                    int cz, int r) const;
-  void gather_ring(SweepCache& cache, int r) const;
+  /// Append the next shell's points to `cache`'s candidates.
+  void gather_ring(SweepCache& cache) const;
+  /// k-NN of `q`, a query in `cache`'s home cell, into `sel`.
+  void scan_cached(SweepCache& cache, const vf::field::Vec3& q, std::size_t k,
+                   std::vector<Neighbor>& sel) const;
 
   std::vector<vf::field::Vec3> points_;  // original order (API view)
   // Bucket-sorted SoA coordinates + CSR cell ranges. order_ maps bucket
@@ -78,6 +87,7 @@ class GridHashIndex final : public NeighborIndex {
   vf::field::Vec3 origin_{0, 0, 0};
   vf::field::Vec3 h_{1, 1, 1};      // cell widths (1 on degenerate axes)
   vf::field::Vec3 inv_h_{0, 0, 0};  // 1/width (0 on degenerate axes)
+  double face_slack_ = 0.0;  // rounding margin on face positions
   int ncx_ = 0, ncy_ = 0, ncz_ = 0;
 };
 

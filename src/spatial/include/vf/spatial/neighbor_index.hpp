@@ -72,7 +72,10 @@ class NeighborIndex {
   /// outputs must hold count*k elements. Requires k >= 1 and size() >= k so
   /// every row is full — callers batch only after validating the cloud.
   /// Default implementation parallelises per-query `knn` with per-thread
-  /// scratch; GridHashIndex overrides it with the cell-order sweep.
+  /// scratch; GridHashIndex overrides it with a sweep that visits the
+  /// queries grouped by home cell and breaks ties by ascending index, as
+  /// its `knn` does, so each of its rows is brute force's whatever else
+  /// shares the batch.
   virtual void knn_batch(const vf::field::Vec3* queries, std::size_t count,
                          int k, std::uint32_t* indices, double* dist2) const;
 };

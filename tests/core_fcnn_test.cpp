@@ -7,8 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <unistd.h>
 
 #include "vf/core/fcnn.hpp"
@@ -111,6 +112,66 @@ TEST(TrainingSet, SubsetFractionApplied) {
   auto quarter = build_training_set(truth, sampler, cfg);
   EXPECT_NEAR(static_cast<double>(quarter.X.rows()),
               static_cast<double>(full.X.rows()) * 0.25, 2.0);
+}
+
+/// Whether row `a` of `x` and row `b` of `y` are the same bytes.
+bool same_row(const vf::nn::Matrix& x, std::size_t a, const vf::nn::Matrix& y,
+              std::size_t b) {
+  return x.cols() == y.cols() &&
+         std::memcmp(x.row(a), y.row(b), x.cols() * sizeof(double)) == 0;
+}
+
+TEST(TrainingSet, KeptRowsAreTheFullSetsRowsInShuffleOrder) {
+  // The reference for a capped set: stack every fraction's voids (the
+  // uncapped set), shuffle the stacked rows with the set's seed, keep the
+  // first rows. build_training_set builds only the kept rows, so each must
+  // equal its stacked row byte for byte.
+  auto truth = smooth_truth();
+  ImportanceSampler sampler;
+  for (const bool gradients : {true, false}) {
+    auto cfg = tiny_config();
+    cfg.with_gradients = gradients;
+    cfg.max_train_rows = 0;
+    const auto full = build_training_set(truth, sampler, cfg);
+    const std::size_t total = full.X.rows();
+    std::vector<std::size_t> perm(total);
+    for (std::size_t i = 0; i < total; ++i) perm[i] = i;
+    vf::util::Rng rng(cfg.seed ^ 0xabcdu, 0x726f7773);
+    rng.shuffle(perm);
+
+    struct Cap {
+      std::size_t max_rows;
+      double subset;
+    };
+    for (const Cap cap : {Cap{500, 1.0}, Cap{0, 0.3}, Cap{2000, 0.5},
+                          Cap{total - 1, 1.0}}) {
+      cfg.max_train_rows = cap.max_rows;
+      cfg.train_subset = cap.subset;
+      const auto set = build_training_set(truth, sampler, cfg);
+      ASSERT_LT(set.X.rows(), total);
+      ASSERT_EQ(set.Y.rows(), set.X.rows());
+      for (std::size_t r = 0; r < set.X.rows(); ++r) {
+        ASSERT_TRUE(same_row(set.X, r, full.X, perm[r]))
+            << "X row " << r << " cap " << cap.max_rows << " subset "
+            << cap.subset << " gradients " << gradients;
+        ASSERT_TRUE(same_row(set.Y, r, full.Y, perm[r]))
+            << "Y row " << r << " cap " << cap.max_rows << " subset "
+            << cap.subset << " gradients " << gradients;
+      }
+    }
+
+    // A cap at or above the row count keeps every row in stacked order.
+    for (const std::size_t max_rows : {total, total + 1}) {
+      cfg.max_train_rows = max_rows;
+      cfg.train_subset = 1.0;
+      const auto set = build_training_set(truth, sampler, cfg);
+      ASSERT_EQ(set.X.rows(), total);
+      for (std::size_t r = 0; r < total; ++r) {
+        ASSERT_TRUE(same_row(set.X, r, full.X, r)) << "X row " << r;
+        ASSERT_TRUE(same_row(set.Y, r, full.Y, r)) << "Y row " << r;
+      }
+    }
+  }
 }
 
 TEST(TrainingSet, ScalarOnlyTargetsWhenGradientsDisabled) {

@@ -66,6 +66,14 @@ std::vector<Vec3> probe_points() {
   return {{1.2, 2.3, 0.5}, {4.1, 0.7, 1.9}, {2.5, 5.0, 2.0}};
 }
 
+/// Session key "t<i>". Appended rather than written `"t" + to_string(i)`,
+/// which GCC 12 flags with a false -Wrestrict inside libstdc++.
+std::string session_key(int i) {
+  std::string key = "t";
+  key += std::to_string(i);
+  return key;
+}
+
 // --- HashRing (pure consistent-hashing properties) --------------------------
 
 std::vector<std::string> ring_keys(int n) {
@@ -177,7 +185,7 @@ TEST_F(RouterTest, ServesQueriesAndSpreadsSessionsAcrossShards) {
   ShardRouter router(ropts);
   std::set<std::size_t> homes;
   for (int i = 0; i < 16; ++i) {
-    const std::string key = "t" + std::to_string(i);
+    const std::string key = session_key(i);
     router.add_session(key, test_cloud(), model_path_);
     EXPECT_TRUE(router.has_session(key));
     homes.insert(router.shard_for(key));
@@ -347,11 +355,11 @@ TEST_F(RouterTest, TierDrainFlushesTheBacklogAndReportsTrue) {
   ropts.shard.queue_max = 1024;
   ShardRouter router(ropts);
   for (int i = 0; i < 4; ++i) {
-    router.add_session("t" + std::to_string(i), test_cloud(), model_path_);
+    router.add_session(session_key(i), test_cloud(), model_path_);
   }
   std::vector<std::future<vf::serve::PointResponse>> futures;
   for (int i = 0; i < 64; ++i) {
-    auto f = router.submit("t" + std::to_string(i % 4), probe_points());
+    auto f = router.submit(session_key(i % 4), probe_points());
     ASSERT_TRUE(f.has_value());
     futures.push_back(std::move(*f));
   }
