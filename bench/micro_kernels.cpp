@@ -121,14 +121,16 @@ void BM_FusedDense(benchmark::State& state) {
 }
 BENCHMARK(BM_FusedDense)->Arg(8192);
 
-// The paper network's fp64 forward over weights packed once (the grid
-// engine's and a served model's inference form), at serve micro-batch
-// sizes up to one grid tile: 1, 2 and 4 rows fill one 4-row register tile
-// in part or whole, 9 rows two tiles and part of a third.
-void BM_PackedForward(benchmark::State& state) {
+// The paper network's forward over weights packed once (the grid engine's
+// and a served model's inference form), at fp64 and at fp32 (the float
+// instance of the same micro-kernel, which fp16 and int8 also run), at
+// serve micro-batch sizes up to one grid tile: 1, 2 and 4 rows fill one
+// 4-row register tile in part or whole, 9 rows two tiles and part of a
+// third.
+void BM_PackedForward(benchmark::State& state, vf::nn::QuantPolicy policy) {
   auto rows = static_cast<std::size_t>(state.range(0));
   const auto net = vf::nn::Network::mlp(23, {512, 256, 128, 64, 16}, 4, 7);
-  const vf::nn::QuantizedNetwork packed(net, vf::nn::QuantPolicy::None);
+  const vf::nn::QuantizedNetwork packed(net, policy);
   vf::nn::Matrix x(rows, 23);
   vf::util::Rng rng(11);
   for (double& v : x.data()) v = rng.uniform(-2.0, 2.0);
@@ -141,9 +143,13 @@ void BM_PackedForward(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * rows));
 }
-BENCHMARK(BM_PackedForward)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(9)
-    ->Arg(16)->Arg(64)->Arg(2048);
+void packed_forward_rows(benchmark::internal::Benchmark* b) {
+  b->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(9)->Arg(16)->Arg(64)->Arg(2048);
+}
+BENCHMARK_CAPTURE(BM_PackedForward, none, vf::nn::QuantPolicy::None)
+    ->Apply(packed_forward_rows);
+BENCHMARK_CAPTURE(BM_PackedForward, fp32, vf::nn::QuantPolicy::Fp32)
+    ->Apply(packed_forward_rows);
 
 void BM_DelaunayBuild(benchmark::State& state) {
   auto pts = random_points(static_cast<std::size_t>(state.range(0)));

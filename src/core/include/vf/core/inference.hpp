@@ -14,11 +14,9 @@
 //                   normalisation -> the network -> scalar
 //                   de-normalisation -> per-point modified-Shepard
 //                   repair (vf::interp::modified_shepard) of non-finite
-//                   outputs. Over a PackedModel the network's weights were
-//                   packed once (fp64 or quantized); over an FcnnModel it
-//                   is the unpacked fp64 reference, Network::infer, which
-//                   repacks the weights on every call. At QuantPolicy::None
-//                   the two give the same answer bit for bit.
+//                   outputs. The network is a PackedModel: its weights
+//                   packed once (fp64 or quantized). The FcnnModel overload
+//                   packs at QuantPolicy::None on every call.
 //
 // A point's answer depends only on its own position: every GEMM is
 // row-independent and the int8 path scales activations per row, so it
@@ -32,7 +30,6 @@
 #include "vf/core/features.hpp"
 #include "vf/core/model.hpp"
 #include "vf/core/report.hpp"
-#include "vf/nn/network.hpp"
 #include "vf/nn/quant.hpp"
 #include "vf/sampling/sample_cloud.hpp"
 #include "vf/spatial/neighbor_index.hpp"
@@ -83,22 +80,19 @@ class BoundCloud {
 };
 
 /// Reusable per-thread scratch for predict_points (feature matrix,
-/// activation ping-pong for either network form, SoA neighbour staging,
-/// repair neighbours). Buffers grow to the largest batch seen and are
-/// reused after.
+/// activation ping-pong, SoA neighbour staging, repair neighbours).
+/// Buffers grow to the largest batch seen and are reused after.
 struct PointScratch {
   vf::nn::Matrix X;
   vf::nn::Matrix Y;
-  vf::nn::InferScratch infer;
   FeatureScratch features;
   vf::nn::QuantScratch quant;
   std::vector<vf::spatial::Neighbor> repair;
 
   /// Footprint in double-equivalents (peak-memory accounting).
   [[nodiscard]] std::size_t element_count() const {
-    return X.size() + Y.size() + infer.element_count() +
-           features.element_count() + quant.element_count() +
-           2 * repair.capacity();
+    return X.size() + Y.size() + features.element_count() +
+           quant.element_count() + 2 * repair.capacity();
   }
 };
 
@@ -118,8 +112,10 @@ std::size_t predict_points(const PackedModel& model,
                            double* out, PointScratch& scratch,
                            std::vector<std::size_t>* repaired_rows = nullptr);
 
-/// The same over a row-major model: the fp64 reference, which packs the
-/// weights again on every call.
+/// The same over a row-major model, packed at QuantPolicy::None for this
+/// call only: the answer equals the packed fp64 model's bit for bit, at
+/// the price of packing every weight. Throws std::invalid_argument when
+/// the network is not a dense/ReLU stack.
 std::size_t predict_points(const FcnnModel& model,
                            const vf::spatial::NeighborIndex& index,
                            const std::vector<double>& values,

@@ -29,6 +29,9 @@ struct FcnnModel {
 
   /// Predict de-normalised targets for raw (un-normalised) features.
   /// Returns an (n x 4) or (n x 1) matrix depending on with_gradients.
+  /// Packs the weights at QuantPolicy::None once per call and streams the
+  /// rows through in `batch`-row chunks; throws std::invalid_argument when
+  /// the network is not a dense/ReLU stack.
   vf::nn::Matrix predict(const vf::nn::Matrix& features,
                          std::size_t batch = 8192);
 
@@ -47,11 +50,11 @@ struct FcnnModel {
 };
 
 /// A model in its inference form: the network packed once at a precision
-/// policy (vf::nn::QuantizedNetwork; None answers bit for bit as
-/// Network::infer does) plus the normalisers and output layout that
-/// predict_points needs. It holds the only copy of the weights its owner
-/// keeps. Never mutated after construction, so every thread may read one
-/// instance at once.
+/// policy (vf::nn::QuantizedNetwork; None answers bit for bit as the
+/// training forward does on finite inputs) plus the normalisers and output
+/// layout that predict_points needs. It holds the only copy of the weights
+/// its owner keeps. Never mutated after construction, so every thread may
+/// read one instance at once.
 struct PackedModel {
   PackedModel() = default;
   PackedModel(const FcnnModel& model, vf::nn::QuantPolicy policy);

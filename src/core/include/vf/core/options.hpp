@@ -23,9 +23,9 @@ struct ReconstructOptions {
 
   /// Inference precision: the engine packs the model's weights once, at
   /// construction, at this policy (see vf/nn/quant.hpp). None packs fp64
-  /// panels, bit-identical to Network::infer; Fp32 / Fp16 / Int8 pack
-  /// fp32 panels for the single-precision GEMM. Guarded by the
-  /// SNR-regression suite.
+  /// panels, bit-identical to the training forward on finite inputs;
+  /// Fp32 / Fp16 / Int8 pack fp32 panels for the same micro-kernel's float
+  /// instance. Guarded by the SNR-regression suite.
   vf::nn::QuantPolicy quant = vf::nn::QuantPolicy::None;
 
   /// Neighbour index selection. Auto picks grid-hash for dense grid-sweep

@@ -45,16 +45,12 @@ ReconstructReport BoundCloud::report() const {
   return report;
 }
 
-namespace {
-
-/// predict_points around `infer`, which maps the normalised features
-/// `scratch.X` to the network outputs `scratch.Y`.
-template <typename Infer>
-std::size_t predict_with(const Normalizer& in_norm, const Normalizer& out_norm,
-                         Infer infer, const vf::spatial::NeighborIndex& index,
-                         const std::vector<double>& values, const Vec3* points,
-                         std::size_t count, double* out, PointScratch& scratch,
-                         std::vector<std::size_t>* repaired_rows) {
+std::size_t predict_points(const PackedModel& model,
+                           const vf::spatial::NeighborIndex& index,
+                           const std::vector<double>& values,
+                           const Vec3* points, std::size_t count, double* out,
+                           PointScratch& scratch,
+                           std::vector<std::size_t>* repaired_rows) {
   if (count == 0) return 0;
   {
     VF_OBS_SPAN("extract_features");
@@ -63,11 +59,11 @@ std::size_t predict_with(const Normalizer& in_norm, const Normalizer& out_norm,
   }
   {
     VF_OBS_SPAN("inference");
-    in_norm.apply(scratch.X);
-    infer();
+    model.in_norm.apply(scratch.X);
+    model.net.infer(scratch.X, scratch.Y, scratch.quant);
   }
-  const double scale = out_norm.stddev[0];
-  const double shift = out_norm.mean[0];
+  const double scale = model.out_norm.stddev[0];
+  const double shift = model.out_norm.mean[0];
   std::size_t degraded = 0;
   for (std::size_t i = 0; i < count; ++i) {
     const double y = scratch.Y(i, 0) * scale + shift;
@@ -83,30 +79,14 @@ std::size_t predict_with(const Normalizer& in_norm, const Normalizer& out_norm,
   return degraded;
 }
 
-}  // namespace
-
-std::size_t predict_points(const PackedModel& model,
-                           const vf::spatial::NeighborIndex& index,
-                           const std::vector<double>& values,
-                           const Vec3* points, std::size_t count, double* out,
-                           PointScratch& scratch,
-                           std::vector<std::size_t>* repaired_rows) {
-  return predict_with(
-      model.in_norm, model.out_norm,
-      [&] { model.net.infer(scratch.X, scratch.Y, scratch.quant); }, index,
-      values, points, count, out, scratch, repaired_rows);
-}
-
 std::size_t predict_points(const FcnnModel& model,
                            const vf::spatial::NeighborIndex& index,
                            const std::vector<double>& values,
                            const Vec3* points, std::size_t count, double* out,
                            PointScratch& scratch,
                            std::vector<std::size_t>* repaired_rows) {
-  return predict_with(
-      model.in_norm, model.out_norm,
-      [&] { model.net.infer(scratch.X, scratch.Y, scratch.infer); }, index,
-      values, points, count, out, scratch, repaired_rows);
+  return predict_points(PackedModel(model, vf::nn::QuantPolicy::None), index,
+                        values, points, count, out, scratch, repaired_rows);
 }
 
 }  // namespace vf::core

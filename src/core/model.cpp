@@ -13,24 +13,12 @@ using vf::nn::Matrix;
 Matrix FcnnModel::predict(const Matrix& features, std::size_t batch) {
   Matrix X = features;
   in_norm.apply(X);
-  const std::size_t out_dim = out_norm.mean.size();
-  Matrix out(X.rows(), out_dim);
-  Matrix bx, pred;
-  vf::nn::InferScratch scratch;
-  for (std::size_t begin = 0; begin < X.rows(); begin += batch) {
-    std::size_t end = std::min(begin + batch, X.rows());
-    bx.resize(end - begin, X.cols());
-    for (std::size_t r = begin; r < end; ++r) {
-      std::copy(X.row(r), X.row(r) + X.cols(), bx.row(r - begin));
-    }
-    net.infer(bx, pred, scratch);
-    if (pred.cols() != out_dim) {
-      throw std::logic_error("FcnnModel::predict: output width mismatch");
-    }
-    for (std::size_t r = begin; r < end; ++r) {
-      std::copy(pred.row(r - begin), pred.row(r - begin) + out_dim,
-                out.row(r));
-    }
+  Matrix out;
+  vf::nn::QuantScratch scratch;
+  vf::nn::QuantizedNetwork(net, vf::nn::QuantPolicy::None)
+      .infer(X, out, scratch, batch);
+  if (out.cols() != out_norm.mean.size()) {
+    throw std::logic_error("FcnnModel::predict: output width mismatch");
   }
   out_norm.invert(out);
   return out;

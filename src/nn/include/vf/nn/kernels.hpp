@@ -1,7 +1,7 @@
 #pragma once
 // Compute-kernel layer under vf::nn: cache-blocked, packed-panel GEMM with a
 // register-tiled SIMD micro-kernel, plus the fused dense-layer forward used
-// by training and by the unpacked inference reference (Network::infer).
+// by training.
 //
 // Layout (BLIS-style):
 //   - the k dimension is split into Kc panels, the n dimension into Nc
@@ -11,10 +11,11 @@
 //     also absorbs the A^T / B^T operand layouts, so all three GEMM
 //     variants share one micro-kernel);
 //   - the micro-kernel accumulates a 4-row register tile over two adjacent
-//     NR-wide B micro-panels (4 x 32 doubles, 16 vector accumulators) with
-//     `#pragma omp simd` FMA chains, then writes the tile back once — the
-//     naive kernels instead re-streamed the whole B panel from L2/L3 for
-//     every output row. A forward over a few rows pads at most 3 zero rows;
+//     128-byte B micro-panels (4 x 32 doubles or 4 x 64 floats, 16 vector
+//     accumulators) with `#pragma omp simd` FMA chains, then writes the
+//     tile back once — the naive kernels instead re-streamed the whole B
+//     panel from L2/L3 for every output row. A forward over a few rows
+//     pads at most 3 zero rows;
 //   - the k-summation order per output element matches the naive triple
 //     loop and does not depend on which rows share its tile; the only
 //     deviation from the naive kernels is that partial sums are
@@ -27,8 +28,9 @@
 // change every step, and fused_dense_forward). gemm_packed reads a B that
 // pack_b_panels packed once — a model's inference form
 // (vf::nn::QuantizedNetwork), so a forward over a few rows pays no
-// repack. Both visit the same blocks in the same order, so their results
-// are equal bit for bit.
+// repack. At fp64 both visit the same blocks in the same order, so their
+// results are equal bit for bit. The same template, instantiated for
+// float, runs the fp32/fp16/int8 inference forms over one Kc panel.
 //
 // The fused forward applies `+ bias` and optionally ReLU inside the tile
 // write-back of the last Kc panel, eliminating the separate full passes
@@ -66,22 +68,28 @@ void gemm_blocked(std::size_t m, std::size_t n, std::size_t k,
                   const double* b, std::size_t ldb, bool b_trans, double* c,
                   std::size_t ldc, const double* bias, bool relu);
 
-/// Doubles pack_b_panels writes for a k x n B: its columns are
-/// zero-padded to a multiple of the register tile's width.
+/// Elements pack_b_panels<T> writes for a k x n B: its columns are
+/// zero-padded to a multiple of the 128-byte micro-panel width.
+template <typename T>
 [[nodiscard]] std::size_t packed_b_size(std::size_t k, std::size_t n);
 
-/// Pack B (k x n, row-major, leading dimension n) once, into
-/// packed_b_size(k, n) doubles at `dst`, in the order gemm_packed reads.
-/// `b` is read through memcpy, so it may be unaligned: a view into a model
-/// file's bytes packs without a row-major copy first.
-void pack_b_panels(std::size_t k, std::size_t n, const void* b, double* dst);
+/// Pack B (k x n elements of T, row-major, leading dimension n) once, into
+/// packed_b_size<T>(k, n) elements at `dst`, in the order gemm_packed
+/// reads. `b` is read through memcpy, so it may be unaligned: a view into
+/// a model file's bytes packs without a row-major copy first.
+template <typename T>
+void pack_b_panels(std::size_t k, std::size_t n, const void* b, T* dst);
 
-/// gemm_blocked with A (m x k, leading dimension lda) not transposed and B
-/// already packed by pack_b_panels(k, n, ...): the same blocks, k order and
-/// epilogue, so the result equals gemm_blocked's bit for bit.
-void gemm_packed(std::size_t m, std::size_t n, std::size_t k, const double* a,
-                 std::size_t lda, const double* bpanels, double* c,
-                 std::size_t ldc, const double* bias, bool relu);
+/// C = A . B (+ bias, ReLU) with A (m x k, leading dimension lda) not
+/// transposed and B already packed by pack_b_panels<T>(k, n, ...). For
+/// double it runs gemm_blocked's blocks, k order and epilogue, so the
+/// result equals gemm_blocked's bit for bit; for float the whole inner
+/// dimension is one Kc panel, so each output is one k-ordered sum.
+/// Instantiated for double and float.
+template <typename T>
+void gemm_packed(std::size_t m, std::size_t n, std::size_t k, const T* a,
+                 std::size_t lda, const T* bpanels, T* c, std::size_t ldc,
+                 const T* bias, bool relu);
 
 }  // namespace detail
 

@@ -16,18 +16,6 @@
 
 namespace vf::nn {
 
-/// Reusable ping-pong activation buffers for Network::infer. Thread-safe
-/// streaming inference keeps one InferScratch per thread; the buffers grow
-/// to (batch x widest-layer) once and are reused across calls.
-struct InferScratch {
-  Matrix a;
-  Matrix b;
-  /// Total doubles currently held (used by scratch-memory accounting).
-  [[nodiscard]] std::size_t element_count() const {
-    return a.size() + b.size();
-  }
-};
-
 class Network {
  public:
   Network() = default;
@@ -47,14 +35,6 @@ class Network {
 
   /// Forward pass for a whole batch.
   void forward(const Matrix& input, Matrix& output);
-
-  /// Inference-only forward pass: dense layers run the fused
-  /// GEMM+bias(+ReLU) kernel — a dense layer immediately followed by a ReLU
-  /// collapses into one pass over the output tile — and nothing is cached
-  /// for backward. Const and thread-safe: all mutable state lives in the
-  /// caller's `scratch`, so concurrent callers each bring their own.
-  /// `output` must not alias `input`.
-  void infer(const Matrix& input, Matrix& output, InferScratch& scratch) const;
 
   /// Backward pass for the most recent forward() batch; accumulates
   /// parameter gradients in the layers. The gradient with respect to the

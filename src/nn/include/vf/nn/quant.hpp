@@ -9,17 +9,18 @@
 // forward over a few rows: the paper network's 1.48 MB of weights were
 // repacked on every serve micro-batch.
 //
-// QuantPolicy::None packs fp64 panels for detail::gemm_packed; its output
-// equals Network::infer bit for bit (same Kc panel boundaries, same k
-// order). The reduced-precision policies trade weight/activation precision
-// for arithmetic density — ~370k FLOPs per void point through the paper's
-// 23-512-256-128-64-16-4 stack — running a single-precision register-tiled
-// GEMM with twice the SIMD lanes of the fp64 path and the bias+ReLU
-// epilogue fused, converting back to double only at the output. Their
-// weights are rounded onto the policy's grid (fp16, or int8 with
-// per-output-column scales) and decoded to fp32 panels once, at build; the
-// decode is exact, so the panels hold exactly the values a dedicated
-// half/int8 unit would see.
+// QuantPolicy::None packs fp64 panels for detail::gemm_packed<double>; its
+// output equals the training forward's (Network::forward) bit for bit on
+// finite inputs (same Kc panel boundaries, same k order). The
+// reduced-precision policies trade weight/activation precision for
+// arithmetic density — ~370k FLOPs per void point through the paper's
+// 23-512-256-128-64-16-4 stack — running the same micro-kernel
+// instantiated for float (detail::gemm_packed<float>), with twice the SIMD
+// lanes of the fp64 path and the bias+ReLU epilogue fused, converting back
+// to double only at the output. Their weights are rounded onto the
+// policy's grid (fp16, or int8 with per-output-column scales) and decoded
+// to fp32 panels once, at build; the decode is exact, so the panels hold
+// exactly the values a dedicated half/int8 unit would see.
 //
 // Activations are staged in fp32 and, for the Fp16/Int8 policies, snapped
 // onto the storage grid between layers (round-trip through the fp16 codec /
@@ -49,8 +50,8 @@
 
 namespace vf::nn {
 
-/// Inference precision policy. None = fp64, bit-identical to
-/// Network::infer.
+/// Inference precision policy. None = fp64, bit-identical to the training
+/// forward on finite inputs.
 enum class QuantPolicy : std::uint8_t { None = 0, Fp32 = 1, Fp16 = 2,
                                         Int8 = 3 };
 

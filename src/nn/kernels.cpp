@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "vf/obs/obs.hpp"
 #include "vf/util/aligned.hpp"
@@ -26,44 +28,53 @@ constexpr std::size_t kParallelWork = 1 << 14;
 namespace detail {
 namespace {
 
-// Register tile: an MR x 2NR accumulator block of doubles over two adjacent
-// NR-wide packed B micro-panels. NR = 16 is two AVX-512 vectors (four
-// AVX2/NEON vectors) per row; with MR = 4 that is 16 vector accumulators —
-// enough independent FMA chains to hide FMA latency while keeping 16 FMAs
-// per 8 load micro-ops in the inner step — and a forward over a few rows
-// pads at most 3 of them.
+// Register tile: an MR x 2NR accumulator block over two adjacent NR-wide
+// packed B micro-panels. A micro-panel row is 128 bytes at either
+// precision (16 doubles or 32 floats): two AVX-512 vectors (four AVX2/NEON
+// vectors) per row, so with MR = 4 each instance keeps 16 vector
+// accumulators — enough independent FMA chains to hide FMA latency while
+// keeping 16 FMAs per 8 load micro-ops in the inner step — and a forward
+// over a few rows pads at most 3 of them.
 constexpr std::size_t MR = 4;
-constexpr std::size_t NR = 16;
+template <typename T>
+constexpr std::size_t NR = 128 / sizeof(T);
 // Cache blocking: the packed A block (MC x KC doubles = 192 KiB) targets
 // L2; one A micro-panel plus two B micro-panels (MR x KC + KC x 2NR =
-// 54 KiB) cycle through L1 and L2 inside the micro-kernel loop.
+// 54 KiB) cycle through L1 and L2 inside the micro-kernel loop. The float
+// instance takes the whole inner dimension as its one Kc panel, so each
+// output is a single k-ordered sum (the MLP's inner dimensions, <= 512,
+// keep its packed A band within L2).
 constexpr std::size_t MC = 128;
-constexpr std::size_t KC = 192;
+template <typename T>
+constexpr std::size_t KC =
+    std::is_same_v<T, double> ? 192 : std::numeric_limits<std::size_t>::max();
 constexpr std::size_t NC = 4096;
 static_assert(MC % MR == 0);
-static_assert(NC % NR == 0);  // only the last Nc block pads its columns
+// Only the last Nc block pads its columns.
+static_assert(NC % NR<double> == 0 && NC % NR<float> == 0);
 
 /// Pack op(A) rows [i0, i0+mc) x cols [p0, p0+kc) into contiguous MR x kc
 /// micro-panels (column-of-the-panel major), zero-padding the row
 /// remainder so the micro-kernel never branches on edges. Packing absorbs
 /// the transposed layout: when `trans`, A is stored (k x m).
-void pack_a(const double* a, std::size_t lda, bool trans, std::size_t i0,
-            std::size_t mc, std::size_t p0, std::size_t kc, double* dst) {
+template <typename T>
+void pack_a(const T* a, std::size_t lda, bool trans, std::size_t i0,
+            std::size_t mc, std::size_t p0, std::size_t kc, T* dst) {
   for (std::size_t ir = 0; ir < mc; ir += MR) {
     const std::size_t mr = std::min(MR, mc - ir);
     if (trans) {
       for (std::size_t l = 0; l < kc; ++l) {
-        const double* src = a + (p0 + l) * lda + i0 + ir;
+        const T* src = a + (p0 + l) * lda + i0 + ir;
         for (std::size_t i = 0; i < mr; ++i) dst[l * MR + i] = src[i];
-        for (std::size_t i = mr; i < MR; ++i) dst[l * MR + i] = 0.0;
+        for (std::size_t i = mr; i < MR; ++i) dst[l * MR + i] = T(0);
       }
     } else {
       for (std::size_t i = 0; i < mr; ++i) {
-        const double* src = a + (i0 + ir + i) * lda + p0;
+        const T* src = a + (i0 + ir + i) * lda + p0;
         for (std::size_t l = 0; l < kc; ++l) dst[l * MR + i] = src[l];
       }
       for (std::size_t i = mr; i < MR; ++i) {
-        for (std::size_t l = 0; l < kc; ++l) dst[l * MR + i] = 0.0;
+        for (std::size_t l = 0; l < kc; ++l) dst[l * MR + i] = T(0);
       }
     }
     dst += kc * MR;
@@ -73,34 +84,36 @@ void pack_a(const double* a, std::size_t lda, bool trans, std::size_t i0,
 /// Pack op(B) rows [p0, p0+kc) x cols [j0, j0+nc) into contiguous kc x NR
 /// micro-panels, zero-padding the column remainder. When `trans`, B is
 /// stored (n x k). B is read through memcpy, so it need not be aligned.
+template <typename T>
 void pack_b(const unsigned char* b, std::size_t ldb, bool trans,
             std::size_t p0, std::size_t kc, std::size_t j0, std::size_t nc,
-            double* dst) {
-  constexpr std::size_t D = sizeof(double);
-  for (std::size_t jr = 0; jr < nc; jr += NR) {
-    const std::size_t nr = std::min(NR, nc - jr);
+            T* dst) {
+  constexpr std::size_t D = sizeof(T);
+  constexpr std::size_t N = NR<T>;
+  for (std::size_t jr = 0; jr < nc; jr += N) {
+    const std::size_t nr = std::min(N, nc - jr);
     if (trans) {
       for (std::size_t j = 0; j < nr; ++j) {
         const unsigned char* src = b + ((j0 + jr + j) * ldb + p0) * D;
         for (std::size_t l = 0; l < kc; ++l) {
-          std::memcpy(dst + l * NR + j, src + l * D, D);
+          std::memcpy(dst + l * N + j, src + l * D, D);
         }
       }
-      for (std::size_t j = nr; j < NR; ++j) {
-        for (std::size_t l = 0; l < kc; ++l) dst[l * NR + j] = 0.0;
+      for (std::size_t j = nr; j < N; ++j) {
+        for (std::size_t l = 0; l < kc; ++l) dst[l * N + j] = T(0);
       }
     } else {
       for (std::size_t l = 0; l < kc; ++l) {
         const unsigned char* src = b + ((p0 + l) * ldb + j0 + jr) * D;
-        if (nr == NR) {
-          std::memcpy(dst + l * NR, src, NR * D);  // fixed size: inlined
+        if (nr == N) {
+          std::memcpy(dst + l * N, src, N * D);  // fixed size: inlined
           continue;
         }
-        std::memcpy(dst + l * NR, src, nr * D);
-        for (std::size_t j = nr; j < NR; ++j) dst[l * NR + j] = 0.0;
+        std::memcpy(dst + l * N, src, nr * D);
+        for (std::size_t j = nr; j < N; ++j) dst[l * N + j] = T(0);
       }
     }
-    dst += kc * NR;
+    dst += kc * N;
   }
 }
 
@@ -109,24 +122,25 @@ void pack_b(const unsigned char* b, std::size_t ldb, bool trans,
 /// matches the naive kernels; partial sums are re-associated only at
 /// Kc-panel boundaries (write_tile's accumulate), keeping the blocked path
 /// within a few ulps of the reference.
-template <std::size_t P>
+template <typename T, std::size_t P>
 [[gnu::always_inline]] inline void micro_kernel(std::size_t kc,
-                                                const double* __restrict ap,
-                                                const double* __restrict bp,
-                                                double* __restrict acc) {
-  constexpr std::size_t W = P * NR;
-  const std::size_t panel = kc * NR;
+                                                const T* __restrict ap,
+                                                const T* __restrict bp,
+                                                T* __restrict acc) {
+  constexpr std::size_t N = NR<T>;
+  constexpr std::size_t W = P * N;
+  const std::size_t panel = kc * N;
   for (std::size_t l = 0; l < kc; ++l) {
-    const double* a = ap + l * MR;
-    const double* b = bp + l * NR;
+    const T* a = ap + l * MR;
+    const T* b = bp + l * N;
 #pragma GCC unroll 4
     for (std::size_t i = 0; i < MR; ++i) {
-      const double av = a[i];
+      const T av = a[i];
 #pragma GCC unroll 2
       for (std::size_t q = 0; q < P; ++q) {
 #pragma omp simd
-        for (std::size_t j = 0; j < NR; ++j) {
-          acc[i * W + q * NR + j] += av * b[q * panel + j];
+        for (std::size_t j = 0; j < N; ++j) {
+          acc[i * W + q * N + j] += av * b[q * panel + j];
         }
       }
     }
@@ -140,28 +154,28 @@ template <std::size_t P>
 /// inlined into its tile, with a compile-time row stride for `acc` and the
 /// flags as plain arguments: under GCC 12, passing a tile's arguments in a
 /// struct made BM_FusedDense/8192 (bias + ReLU on every tile) 1.85x slower.
-template <std::size_t P>
-[[gnu::always_inline]] inline void write_tile(const double* acc, double* c,
+template <typename T, std::size_t P>
+[[gnu::always_inline]] inline void write_tile(const T* acc, T* c,
                                               std::size_t ldc, std::size_t mr,
                                               std::size_t nr, bool accumulate,
-                                              const double* bias, bool relu) {
-  constexpr std::size_t W = P * NR;
+                                              const T* bias, bool relu) {
+  constexpr std::size_t W = P * NR<T>;
   if (mr == MR && nr == W && !accumulate && !bias && !relu) {
     // Full-tile overwrite fast path (the common case of a single Kc panel).
     for (std::size_t i = 0; i < MR; ++i) {
-      double* crow = c + i * ldc;
+      T* crow = c + i * ldc;
 #pragma omp simd
       for (std::size_t j = 0; j < W; ++j) crow[j] = acc[i * W + j];
     }
     return;
   }
   for (std::size_t i = 0; i < mr; ++i) {
-    double* crow = c + i * ldc;
+    T* crow = c + i * ldc;
     for (std::size_t j = 0; j < nr; ++j) {
-      double v = acc[i * W + j];
+      T v = acc[i * W + j];
       if (accumulate) v += crow[j];
       if (bias) v += bias[j];
-      if (relu && v < 0.0) v = 0.0;
+      if (relu && v < T(0)) v = T(0);
       crow[j] = v;
     }
   }
@@ -174,14 +188,13 @@ constexpr std::size_t round_up(std::size_t v, std::size_t step) {
 /// One register tile: accumulate the packed A micro-panel `ap` against the
 /// P packed B micro-panels from `bp` on, then write rows [0, mr) x columns
 /// [0, nr) of the product to `c`.
-template <std::size_t P>
+template <typename T, std::size_t P>
 [[gnu::always_inline]] inline void multiply_tile(
-    std::size_t mr, std::size_t nr, std::size_t kc, const double* ap,
-    const double* bp, double* c, std::size_t ldc, bool accumulate,
-    const double* bias, bool relu) {
-  alignas(64) double acc[MR * P * NR] = {};
-  micro_kernel<P>(kc, ap, bp, acc);
-  write_tile<P>(acc, c, ldc, mr, nr, accumulate, bias, relu);
+    std::size_t mr, std::size_t nr, std::size_t kc, const T* ap, const T* bp,
+    T* c, std::size_t ldc, bool accumulate, const T* bias, bool relu) {
+  alignas(64) T acc[MR * P * NR<T>] = {};
+  micro_kernel<T, P>(kc, ap, bp, acc);
+  write_tile<T, P>(acc, c, ldc, mr, nr, accumulate, bias, relu);
 }
 
 /// One MC-row band of one (Nc, Kc) block: pack the band's rows of op(A),
@@ -189,25 +202,27 @@ template <std::size_t P>
 /// (a block with an odd number of micro-panels runs its last one alone).
 /// `c` and `bias` are pre-offset to the block's first column;
 /// `bias`/`relu` are set only on the block's last Kc panel.
+template <typename T>
 void multiply_band(std::size_t ic, std::size_t m, std::size_t nc,
-                   std::size_t pc, std::size_t kc, const double* a,
-                   std::size_t lda, bool a_trans, const double* bpanel,
-                   double* apack, double* c, std::size_t ldc, bool first,
-                   const double* bias, bool relu) {
+                   std::size_t pc, std::size_t kc, const T* a,
+                   std::size_t lda, bool a_trans, const T* bpanel, T* apack,
+                   T* c, std::size_t ldc, bool first, const T* bias,
+                   bool relu) {
+  constexpr std::size_t N = NR<T>;
   const std::size_t mc = std::min(MC, m - ic);
   pack_a(a, lda, a_trans, ic, mc, pc, kc, apack);
-  for (std::size_t jr = 0; jr < nc; jr += 2 * NR) {
-    const std::size_t nr = std::min(2 * NR, nc - jr);
-    const double* bp = bpanel + (jr / NR) * kc * NR;
+  for (std::size_t jr = 0; jr < nc; jr += 2 * N) {
+    const std::size_t nr = std::min(2 * N, nc - jr);
+    const T* bp = bpanel + (jr / N) * kc * N;
     for (std::size_t ir = 0; ir < mc; ir += MR) {
       const std::size_t mr = std::min(MR, mc - ir);
-      const double* ap = apack + (ir / MR) * kc * MR;
-      double* ct = c + (ic + ir) * ldc + jr;
-      const double* bt = bias ? bias + jr : nullptr;
-      if (nr > NR) {
-        multiply_tile<2>(mr, nr, kc, ap, bp, ct, ldc, !first, bt, relu);
+      const T* ap = apack + (ir / MR) * kc * MR;
+      T* ct = c + (ic + ir) * ldc + jr;
+      const T* bt = bias ? bias + jr : nullptr;
+      if (nr > N) {
+        multiply_tile<T, 2>(mr, nr, kc, ap, bp, ct, ldc, !first, bt, relu);
       } else {
-        multiply_tile<1>(mr, nr, kc, ap, bp, ct, ldc, !first, bt, relu);
+        multiply_tile<T, 1>(mr, nr, kc, ap, bp, ct, ldc, !first, bt, relu);
       }
     }
   }
@@ -218,13 +233,15 @@ void multiply_band(std::size_t ic, std::size_t m, std::size_t nc,
 /// packed once): for every (Nc, Kc) block, jc then pc, `panel(jc, nc, pc,
 /// kc)` yields the block as kc x NR micro-panels and each MC-row band of C
 /// accumulates its product. Bands split across the OpenMP team only when
-/// the product is large enough to pay for the fork.
-template <typename Panel>
-void gemm_loop(std::size_t m, std::size_t n, std::size_t k, const double* a,
-               std::size_t lda, bool a_trans, Panel panel, double* c,
-               std::size_t ldc, const double* bias, bool relu) {
-  // Every dense forward/backward funnels through here, so these two
-  // counters cover the model's entire multiply-add volume.
+/// there are two or more of them and the product is large enough to pay
+/// for the fork; a lone band would leave every other thread at the barrier.
+template <typename T, typename Panel>
+void gemm_loop(std::size_t m, std::size_t n, std::size_t k, const T* a,
+               std::size_t lda, bool a_trans, Panel panel, T* c,
+               std::size_t ldc, const T* bias, bool relu) {
+  // Every dense forward/backward and every packed forward funnels through
+  // here, so these two counters cover the models' entire multiply-add
+  // volume.
   VF_OBS_COUNT("nn.gemm.calls", 1);
   VF_OBS_COUNT("nn.gemm.flops", 2 * m * n * k);
   if (m == 0 || n == 0) return;
@@ -232,31 +249,31 @@ void gemm_loop(std::size_t m, std::size_t n, std::size_t k, const double* a,
     // Degenerate inner dimension: the product is all zeros + epilogue.
     for (std::size_t i = 0; i < m; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
-        double v = bias ? bias[j] : 0.0;
-        if (relu && v < 0.0) v = 0.0;
+        T v = bias ? bias[j] : T(0);
+        if (relu && v < T(0)) v = T(0);
         c[i * ldc + j] = v;
       }
     }
     return;
   }
-  const bool threads =
-      vf::util::thread_count() > 1 && m * n * k >= kParallelWork;
+  const auto ic_blocks = static_cast<std::int64_t>((m + MC - 1) / MC);
+  const bool threads = vf::util::thread_count() > 1 && ic_blocks > 1 &&
+                       m * n * k >= kParallelWork;
   // The packed A band holds the rows present, not a full MC block: a
   // served micro-batch of a few rows packs (and allocates) a few rows.
   const std::size_t apack_size =
-      round_up(std::min(MC, m), MR) * std::min(KC, k);
-  const auto ic_blocks = static_cast<std::int64_t>((m + MC - 1) / MC);
+      round_up(std::min(MC, m), MR) * std::min(KC<T>, k);
   auto serial_apack =
-      vf::util::make_uninit_buffer<double>(threads ? 0 : apack_size);
+      vf::util::make_uninit_buffer<T>(threads ? 0 : apack_size);
 
   for (std::size_t jc = 0; jc < n; jc += NC) {
     const std::size_t nc = std::min(NC, n - jc);
-    for (std::size_t pc = 0; pc < k; pc += KC) {
-      const std::size_t kc = std::min(KC, k - pc);
+    for (std::size_t pc = 0; pc < k;) {
+      const std::size_t kc = std::min(KC<T>, k - pc);
       const bool first = pc == 0;
       const bool last = pc + kc == k;
-      const double* bp = panel(jc, nc, pc, kc);
-      const double* block_bias = last && bias ? bias + jc : nullptr;
+      const T* bp = panel(jc, nc, pc, kc);
+      const T* block_bias = last && bias ? bias + jc : nullptr;
       const bool block_relu = last && relu;
       if (!threads) {
         for (std::size_t ic = 0; ic < m; ic += MC) {
@@ -264,55 +281,71 @@ void gemm_loop(std::size_t m, std::size_t n, std::size_t k, const double* a,
                         serial_apack.get(), c + jc, ldc, first, block_bias,
                         block_relu);
         }
-        continue;
-      }
-      // vf-par: per-thread-scratch — apack is thread-local; each ic-block
-      // writes a disjoint row band of C; the B block is read-only here.
+      } else {
+        // vf-par: per-thread-scratch — apack is thread-local; each
+        // ic-block writes a disjoint row band of C; the B block is
+        // read-only here.
 #pragma omp parallel
-      {
-        auto apack = vf::util::make_uninit_buffer<double>(apack_size);
+        {
+          auto apack = vf::util::make_uninit_buffer<T>(apack_size);
 #pragma omp for schedule(static)
-        for (std::int64_t icb = 0; icb < ic_blocks; ++icb) {
-          multiply_band(static_cast<std::size_t>(icb) * MC, m, nc, pc, kc, a,
-                        lda, a_trans, bp, apack.get(), c + jc, ldc, first,
-                        block_bias, block_relu);
+          for (std::int64_t icb = 0; icb < ic_blocks; ++icb) {
+            multiply_band(static_cast<std::size_t>(icb) * MC, m, nc, pc, kc,
+                          a, lda, a_trans, bp, apack.get(), c + jc, ldc,
+                          first, block_bias, block_relu);
+          }
         }
       }
+      pc += kc;
     }
   }
 }
 
 }  // namespace
 
+template <typename T>
 std::size_t packed_b_size(std::size_t k, std::size_t n) {
-  return k * round_up(n, NR);
+  return k * round_up(n, NR<T>);
 }
 
-void pack_b_panels(std::size_t k, std::size_t n, const void* b,
-                   double* dst) {
+template <typename T>
+void pack_b_panels(std::size_t k, std::size_t n, const void* b, T* dst) {
   const auto* bytes = static_cast<const unsigned char*>(b);
   for (std::size_t jc = 0; jc < n; jc += NC) {
     const std::size_t nc = std::min(NC, n - jc);
-    for (std::size_t pc = 0; pc < k; pc += KC) {
-      const std::size_t kc = std::min(KC, k - pc);
+    for (std::size_t pc = 0; pc < k;) {
+      const std::size_t kc = std::min(KC<T>, k - pc);
       pack_b(bytes, n, false, pc, kc, jc, nc,
-             dst + jc * k + pc * round_up(nc, NR));
+             dst + jc * k + pc * round_up(nc, NR<T>));
+      pc += kc;
     }
   }
 }
 
-void gemm_packed(std::size_t m, std::size_t n, std::size_t k, const double* a,
-                 std::size_t lda, const double* bpanels, double* c,
-                 std::size_t ldc, const double* bias, bool relu) {
+template <typename T>
+void gemm_packed(std::size_t m, std::size_t n, std::size_t k, const T* a,
+                 std::size_t lda, const T* bpanels, T* c, std::size_t ldc,
+                 const T* bias, bool relu) {
   VF_REQUIRE(lda >= k, "gemm_packed: lda below logical row");
   VF_REQUIRE(ldc >= n, "gemm_packed: ldc below output row");
   gemm_loop(
       m, n, k, a, lda, false,
       [&](std::size_t jc, std::size_t nc, std::size_t pc, std::size_t) {
-        return bpanels + jc * k + pc * round_up(nc, NR);
+        return bpanels + jc * k + pc * round_up(nc, NR<T>);
       },
       c, ldc, bias, relu);
 }
+
+template std::size_t packed_b_size<double>(std::size_t, std::size_t);
+template std::size_t packed_b_size<float>(std::size_t, std::size_t);
+template void pack_b_panels(std::size_t, std::size_t, const void*, double*);
+template void pack_b_panels(std::size_t, std::size_t, const void*, float*);
+template void gemm_packed(std::size_t, std::size_t, std::size_t,
+                          const double*, std::size_t, const double*, double*,
+                          std::size_t, const double*, bool);
+template void gemm_packed(std::size_t, std::size_t, std::size_t, const float*,
+                          std::size_t, const float*, float*, std::size_t,
+                          const float*, bool);
 
 void gemm_blocked(std::size_t m, std::size_t n, std::size_t k,
                   const double* a, std::size_t lda, bool a_trans,
@@ -326,7 +359,7 @@ void gemm_blocked(std::size_t m, std::size_t n, std::size_t k,
   // Pack each block of B as the loop reaches it, into one block-sized
   // buffer: op(B) may be a large training operand, never packed whole.
   auto bpack = vf::util::make_uninit_buffer<double>(
-      round_up(std::min(NC, n), NR) * std::min(KC, k));
+      round_up(std::min(NC, n), NR<double>) * std::min(KC<double>, k));
   const auto* bytes = reinterpret_cast<const unsigned char*>(b);
   gemm_loop(
       m, n, k, a, lda, a_trans,

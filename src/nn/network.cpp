@@ -1,25 +1,8 @@
 #include "vf/nn/network.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
-#include "vf/nn/kernels.hpp"
-#include "vf/util/contract.hpp"
-
 namespace vf::nn {
-
-namespace {
-
-/// Elementwise map into a (possibly reused) output buffer.
-template <typename F>
-void map_elementwise(const Matrix& in, Matrix& out, const F& f) {
-  out.resize(in.rows(), in.cols());
-  auto src = in.data();
-  auto dst = out.data();
-  for (std::size_t i = 0; i < src.size(); ++i) dst[i] = f(src[i]);
-}
-
-}  // namespace
 
 Network Network::mlp(std::size_t inputs, const std::vector<std::size_t>& hidden,
                      std::size_t outputs, std::uint64_t seed) {
@@ -51,54 +34,6 @@ void Network::forward(const Matrix& input, Matrix& output) {
     cur = &acts_[i];
   }
   output = acts_.back();
-}
-
-void Network::infer(const Matrix& input, Matrix& output,
-                    InferScratch& scratch) const {
-  // The ping-pong buffers and the output are written while `input` is still
-  // being read, so none of them may alias it.
-  VF_REQUIRE(&output != &input, "Network::infer: output aliases input");
-  VF_REQUIRE(&scratch.a != &input && &scratch.b != &input,
-             "Network::infer: scratch aliases input");
-  VF_REQUIRE(&scratch.a != &output && &scratch.b != &output,
-             "Network::infer: scratch aliases output");
-  if (layers_.empty()) {
-    output = input;
-    return;
-  }
-  Matrix* bufs[2] = {&scratch.a, &scratch.b};
-  int which = 0;
-  const Matrix* cur = &input;
-  std::size_t i = 0;
-  while (i < layers_.size()) {
-    const Layer& l = *layers_[i];
-    std::size_t consumed = 1;
-    bool fuse_relu = false;
-    if (l.kind() == "dense" && i + 1 < layers_.size() &&
-        layers_[i + 1]->kind() == "relu") {
-      fuse_relu = true;
-      consumed = 2;
-    }
-    Matrix* dst = i + consumed == layers_.size() ? &output : bufs[which];
-    if (l.kind() == "dense") {
-      const auto& d = static_cast<const DenseLayer&>(l);
-      fused_dense_forward(*cur, d.weights(), d.bias(), fuse_relu, *dst);
-    } else if (l.kind() == "relu") {
-      map_elementwise(*cur, *dst, [](double v) { return v > 0.0 ? v : 0.0; });
-    } else if (l.kind() == "leaky_relu") {
-      const double slope = static_cast<const LeakyReluLayer&>(l).slope();
-      map_elementwise(*cur, *dst,
-                      [slope](double v) { return v > 0.0 ? v : slope * v; });
-    } else if (l.kind() == "tanh") {
-      map_elementwise(*cur, *dst, [](double v) { return std::tanh(v); });
-    } else {
-      throw std::logic_error("Network::infer: unsupported layer kind " +
-                             l.kind());
-    }
-    cur = dst;
-    which ^= 1;
-    i += consumed;
-  }
 }
 
 void Network::backward(const Matrix& grad_output) {

@@ -6,8 +6,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include <omp.h>
-
 #if defined(__F16C__)
 #include <immintrin.h>
 #endif
@@ -16,7 +14,6 @@
 #include "vf/nn/kernels.hpp"
 #include "vf/obs/obs.hpp"
 #include "vf/util/contract.hpp"
-#include "vf/util/parallel.hpp"
 
 namespace vf::nn {
 
@@ -101,128 +98,6 @@ float fp16_decode(std::uint16_t h) {
 
 namespace {
 
-// fp32 register tile: 8 x 32 floats = 16 full-width SIMD accumulators, as
-// many as the fp64 kernel's 4 x 32 doubles. The MLP's
-// inner dimensions (<= 512) fit one panel, so there is no Kc blocking: each
-// tile accumulates the full dot product and fires the bias+ReLU epilogue in
-// the same pass.
-constexpr std::size_t QMR = 8;
-constexpr std::size_t QNR = 32;
-constexpr std::size_t QMC = 128;  // packed A row block (QMC x k floats)
-
-/// `n` columns rounded up to whole QNR-wide weight panels.
-constexpr std::size_t panel_width(std::size_t n) {
-  return (n + QNR - 1) / QNR * QNR;
-}
-
-// Below this many multiply-adds the fork/join cost dominates any speedup.
-constexpr std::size_t kParallelWork = 1 << 15;
-
-/// Pack rows [i0, i0+mc) of the row-major (m x k) activation block into
-/// contiguous QMR x k micro-panels, zero-padding the row remainder.
-void pack_a_f32(const float* a, std::size_t lda, std::size_t i0,
-                std::size_t mc, std::size_t k, float* dst) {
-  for (std::size_t ir = 0; ir < mc; ir += QMR) {
-    const std::size_t mr = std::min(QMR, mc - ir);
-    for (std::size_t i = 0; i < mr; ++i) {
-      const float* src = a + (i0 + ir + i) * lda;
-      for (std::size_t l = 0; l < k; ++l) dst[l * QMR + i] = src[l];
-    }
-    for (std::size_t i = mr; i < QMR; ++i) {
-      for (std::size_t l = 0; l < k; ++l) dst[l * QMR + i] = 0.0f;
-    }
-    dst += k * QMR;
-  }
-}
-
-void micro_kernel_f32(std::size_t k, const float* __restrict ap,
-                      const float* __restrict bp, float* __restrict acc) {
-  for (std::size_t l = 0; l < k; ++l) {
-    const float* a = ap + l * QMR;
-    const float* b = bp + l * QNR;
-#pragma GCC unroll 8
-    for (std::size_t i = 0; i < QMR; ++i) {
-      const float av = a[i];
-#pragma omp simd
-      for (std::size_t j = 0; j < QNR; ++j) acc[i * QNR + j] += av * b[j];
-    }
-  }
-}
-
-void write_tile_f32(const float* acc, float* c, std::size_t ldc,
-                    std::size_t mr, std::size_t nr, const float* bias,
-                    bool relu) {
-  if (mr == QMR && nr == QNR) {
-    for (std::size_t i = 0; i < QMR; ++i) {
-      float* crow = c + i * ldc;
-#pragma omp simd
-      for (std::size_t j = 0; j < QNR; ++j) {
-        float v = acc[i * QNR + j] + bias[j];
-        crow[j] = relu && v < 0.0f ? 0.0f : v;
-      }
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < mr; ++i) {
-    float* crow = c + i * ldc;
-    for (std::size_t j = 0; j < nr; ++j) {
-      float v = acc[i * QNR + j] + bias[j];
-      crow[j] = relu && v < 0.0f ? 0.0f : v;
-    }
-  }
-}
-
-/// Rows [ic, ic+QMC) of C = A * Wpanels + bias (optional ReLU).
-void sgemm_band(std::size_t ic, std::size_t m, std::size_t n, std::size_t k,
-                const float* a, const float* wpanels, const float* bias,
-                bool relu, float* apack, float* c) {
-  const std::size_t mc = std::min(QMC, m - ic);
-  pack_a_f32(a, k, ic, mc, k, apack);
-  for (std::size_t jr = 0; jr < n; jr += QNR) {
-    const std::size_t nr = std::min(QNR, n - jr);
-    const float* bp = wpanels + (jr / QNR) * k * QNR;
-    for (std::size_t ir = 0; ir < mc; ir += QMR) {
-      const std::size_t mr = std::min(QMR, mc - ir);
-      const float* ap = apack + (ir / QMR) * k * QMR;
-      alignas(64) float acc[QMR * QNR] = {};
-      micro_kernel_f32(k, ap, bp, acc);
-      write_tile_f32(acc, c + (ic + ir) * n + jr, n, mr, nr, bias + jr, relu);
-    }
-  }
-}
-
-/// C(m x n) = A(m x k, row-major) * Wpanels + bias, optional ReLU. Wpanels
-/// is the (k x QNR)-panel weight layout packed at build.
-void sgemm_panels(std::size_t m, std::size_t n, std::size_t k,
-                  const float* a, const float* wpanels, const float* bias,
-                  bool relu, float* c) {
-  VF_OBS_COUNT("nn.quant.gemm_flops", 2 * m * n * k);
-  const bool threads =
-      vf::util::thread_count() > 1 && m * n * k >= kParallelWork;
-  // The packed A band holds the rows present (at most QMC), and packing
-  // writes all of it, so it is neither full-block sized nor zero-filled.
-  const std::size_t apack_size = (std::min(QMC, m) + QMR - 1) / QMR * QMR * k;
-  if (!threads) {
-    auto apack = vf::util::make_uninit_buffer<float>(apack_size);
-    for (std::size_t ic = 0; ic < m; ic += QMC) {
-      sgemm_band(ic, m, n, k, a, wpanels, bias, relu, apack.get(), c);
-    }
-    return;
-  }
-  const auto ic_blocks = static_cast<std::int64_t>((m + QMC - 1) / QMC);
-  // vf-par: per-thread-scratch — apack is thread-local; each ic-block
-  // writes a disjoint row band of C; the packed weights are read-only.
-#pragma omp parallel
-  {
-    auto apack = vf::util::make_uninit_buffer<float>(apack_size);
-#pragma omp for schedule(static)
-    for (std::int64_t icb = 0; icb < ic_blocks; ++icb) {
-      sgemm_band(static_cast<std::size_t>(icb) * QMC, m, n, k, a, wpanels,
-                 bias, relu, apack.get(), c);
-    }
-  }
-}
-
 /// Snap every value onto the fp16 grid (what a half-precision activation
 /// buffer would hold). The hardware conversions (VCVTPS2PH/VCVTPH2PS with
 /// round-to-nearest-even) are bit-identical to the portable codec; without
@@ -267,37 +142,28 @@ double load_double(const void* base, std::size_t i) {
   return v;
 }
 
-/// Pack one dense layer's weights into fp32 (k x QNR) panels, zero-padded
-/// past `out`, each rounded onto `policy`'s grid and decoded once here:
-/// fp16 through the codec, int8 as the integer times its column's scale.
+/// Pack one dense layer's weights into the fp32 panels gemm_packed<float>
+/// reads, each rounded onto `policy`'s grid and decoded once here, in
+/// row-major order: fp16 through the codec, int8 as the integer times its
+/// column's scale.
 void pack_fp32_panels(const LayerView& l, QuantPolicy policy, float* dst) {
-  const std::size_t out_padded = panel_width(l.out);
-  const std::size_t panel_elems = l.in * out_padded;
-  // Panel layout: jr-th panel holds columns [jr*QNR, (jr+1)*QNR) for all
-  // k rows, row-major within the panel.
-  auto column = [&](std::size_t idx) {
-    return idx / (l.in * QNR) * QNR + idx % QNR;
-  };
-  auto panel_value = [&](std::size_t idx) -> double {
-    const std::size_t krow = idx % (l.in * QNR) / QNR;
-    const std::size_t col = column(idx);
-    return col < l.out ? load_double(l.weights, krow * l.out + col) : 0.0;
-  };
+  std::vector<float> rounded(l.in * l.out);
   switch (policy) {
     case QuantPolicy::Fp32:
-      for (std::size_t e = 0; e < panel_elems; ++e) {
-        dst[e] = static_cast<float>(panel_value(e));
+      for (std::size_t e = 0; e < rounded.size(); ++e) {
+        rounded[e] = static_cast<float>(load_double(l.weights, e));
       }
       break;
     case QuantPolicy::Fp16:
-      for (std::size_t e = 0; e < panel_elems; ++e) {
-        dst[e] = fp16_decode(fp16_encode(static_cast<float>(panel_value(e))));
+      for (std::size_t e = 0; e < rounded.size(); ++e) {
+        rounded[e] = fp16_decode(
+            fp16_encode(static_cast<float>(load_double(l.weights, e))));
       }
       break;
     case QuantPolicy::Int8: {
       // Symmetric per-output-column scales preserve each neuron's dynamic
       // range independently (the standard weight-quantization granularity).
-      std::vector<float> scale(out_padded, 1.0f);
+      std::vector<float> scale(l.out);
       for (std::size_t c = 0; c < l.out; ++c) {
         double amax = 0.0;
         for (std::size_t krow = 0; krow < l.in; ++krow) {
@@ -306,18 +172,19 @@ void pack_fp32_panels(const LayerView& l, QuantPolicy policy, float* dst) {
         }
         scale[c] = amax > 0.0 ? static_cast<float>(amax / 127.0) : 1.0f;
       }
-      for (std::size_t e = 0; e < panel_elems; ++e) {
-        const float s = scale[column(e)];
+      for (std::size_t e = 0; e < rounded.size(); ++e) {
+        const float s = scale[e % l.out];
         const auto q = static_cast<std::int8_t>(std::clamp(
-            std::lround(panel_value(e) / static_cast<double>(s)), -127L,
-            127L));
-        dst[e] = static_cast<float>(q) * s;
+            std::lround(load_double(l.weights, e) / static_cast<double>(s)),
+            -127L, 127L));
+        rounded[e] = static_cast<float>(q) * s;
       }
       break;
     }
     case QuantPolicy::None:
-      break;  // fp64 panels are packed by detail::pack_b_panels
+      break;  // fp64 panels are packed straight from the layer's bytes
   }
+  detail::pack_b_panels(l.in, l.out, rounded.data(), dst);
 }
 
 /// Size `v` for `n` elements plus a cache line of slack and return the
@@ -376,15 +243,14 @@ QuantizedNetwork::QuantizedNetwork(const std::vector<LayerView>& layers,
       q.relu = true;
       ++i;
     }
-    const std::size_t out_padded = panel_width(q.out);
-    max_width_ = std::max({max_width_, q.in, out_padded});
+    max_width_ = std::max({max_width_, q.in, q.out});
     if (policy == QuantPolicy::None) {
-      const std::size_t panels = detail::packed_b_size(q.in, q.out);
+      const std::size_t panels = detail::packed_b_size<double>(q.in, q.out);
       double* dst = line_start(q.f64, panels + q.out, q.at);
       detail::pack_b_panels(q.in, q.out, l.weights, dst);
       std::memcpy(dst + panels, l.bias, q.out * sizeof(double));
     } else {
-      const std::size_t panels = q.in * out_padded;
+      const std::size_t panels = detail::packed_b_size<float>(q.in, q.out);
       float* dst = line_start(q.f32, panels + q.out, q.at);
       pack_fp32_panels(l, policy, dst);
       for (std::size_t c = 0; c < q.out; ++c) {
@@ -454,7 +320,8 @@ void QuantizedNetwork::infer_fp64(const Matrix& input, Matrix& output,
       double* dst = last ? output.row(b) : bufs[li % 2];
       const double* w = q.f64.data() + q.at;
       detail::gemm_packed(mb, q.out, q.in, cur, ld, w, dst, q.out,
-                          w + detail::packed_b_size(q.in, q.out), q.relu);
+                          w + detail::packed_b_size<double>(q.in, q.out),
+                          q.relu);
       cur = dst;
       ld = q.out;
     }
@@ -491,8 +358,9 @@ void QuantizedNetwork::infer_fp32(const Matrix& input, Matrix& output,
     for (std::size_t li = 0; li < layers_.size(); ++li) {
       const QLayer& q = layers_[li];
       const float* w = q.f32.data() + q.at;
-      sgemm_panels(mb, q.out, q.in, cur, w, w + q.in * panel_width(q.out),
-                   q.relu, nxt);
+      detail::gemm_packed(mb, q.out, q.in, cur, q.in, w, nxt, q.out,
+                          w + detail::packed_b_size<float>(q.in, q.out),
+                          q.relu);
       if (li + 1 < layers_.size()) {
         // Hidden activations live on the storage grid between layers.
         if (policy_ == QuantPolicy::Fp16) snap_fp16(nxt, mb * q.out);

@@ -35,9 +35,10 @@ struct ServiceOptions {
   std::chrono::milliseconds default_deadline{0};
   /// Inference precision for served batches. The registry packs each
   /// model it loads at this policy, once per load: None packs fp64
-  /// panels, bit-identical to Network::infer; Fp32/Fp16/Int8 pack fp32
-  /// panels for the single-precision GEMM. Every worker reads the entry's
-  /// one packed copy. Guarded by the SNR-regression suite.
+  /// panels, bit-identical to the training forward on finite inputs;
+  /// Fp32/Fp16/Int8 pack fp32 panels for the same micro-kernel's float
+  /// instance. Every worker reads the entry's one packed copy. Guarded by
+  /// the SNR-regression suite.
   vf::nn::QuantPolicy quant = vf::nn::QuantPolicy::None;
   /// Session index kind. Auto resolves against batch_max_points — serve
   /// micro-batches are sparse probes, so Auto keeps the exact k-d tree

@@ -4,11 +4,11 @@
 // the facade's point mode and a served request — alone in its batch or
 // sharing one with every other — must all give the same answer bit for
 // bit, for fp64, fp16 and int8, on the cloud's own grid and on a foreign
-// one; at fp64 so must the unpacked reference (predict_points over
-// the row-major FcnnModel). The engine must also reuse its bound cloud
-// (and rebind a new cloud even when it lands on a freed cloud's buffers),
-// keep scratch bounded by the tile rather than the grid, and reject
-// clouds too small for the feature stencil.
+// one; at fp64 so must the training forward over the row-major model.
+// The engine must also reuse its bound cloud (and rebind a new cloud even
+// when it lands on a freed cloud's buffers), keep scratch bounded by the
+// tile rather than the grid, and reject clouds too small for the feature
+// stencil.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -339,17 +339,22 @@ TEST_P(Equivalence, GridEqualsOnePredictPointsCall) {
         << out[i];
   }
 
-  // At fp64 the packed weights answer exactly as the unpacked reference,
-  // which runs Network::infer over the row-major model.
+  // At fp64 the packed weights answer exactly as the training forward
+  // over the row-major model: the same features, normalised, through
+  // Network::forward, then column 0 de-normalised.
   if (GetParam().policy != QuantPolicy::None) return;
-  std::vector<double> reference(pts.size());
-  PointScratch reference_scratch;
-  (void)predict_points(s.model, bound.index(), bound.values(), pts.data(),
-                       pts.size(), reference.data(), reference_scratch);
+  vf::nn::Matrix x;
+  extract_features_into(bound.index(), bound.values(), pts.data(),
+                        pts.size(), x);
+  s.model.in_norm.apply(x);
+  vf::nn::Matrix y;
+  s.model.net.clone().forward(x, y);
+  const double scale = s.model.out_norm.stddev[0];
+  const double shift = s.model.out_norm.mean[0];
   for (std::size_t i = 0; i < idx.size(); ++i) {
-    ASSERT_TRUE(same_bits(reference[i], out[i]))
-        << "grid index " << idx[i] << ": " << reference[i] << " vs "
-        << out[i];
+    const double reference = y(i, 0) * scale + shift;
+    ASSERT_TRUE(same_bits(reference, out[i]))
+        << "grid index " << idx[i] << ": " << reference << " vs " << out[i];
   }
 }
 

@@ -18,7 +18,6 @@
 
 #include "vf/nn/kernels.hpp"
 #include "vf/nn/matrix.hpp"
-#include "vf/nn/network.hpp"
 #include "vf/util/rng.hpp"
 
 namespace {
@@ -151,32 +150,6 @@ TEST(FusedDense, RejectsBadShapesAndAliasing) {
                std::invalid_argument);
 }
 
-TEST(InferPath, MatchesTrainingForward) {
-  // The fused streaming inference must agree with the layer-by-layer
-  // training forward across all supported activations.
-  vf::nn::Network net;
-  net.add(std::make_unique<vf::nn::DenseLayer>(23, 32, 7u));
-  net.add(std::make_unique<vf::nn::ReluLayer>());
-  net.add(std::make_unique<vf::nn::DenseLayer>(32, 16, 8u));
-  net.add(std::make_unique<vf::nn::TanhLayer>());
-  net.add(std::make_unique<vf::nn::DenseLayer>(16, 8, 9u));
-  net.add(std::make_unique<vf::nn::LeakyReluLayer>(0.1));
-  net.add(std::make_unique<vf::nn::DenseLayer>(8, 4, 10u));
-
-  Matrix x = random_matrix(71, 23, 301);
-  Matrix want, got;
-  net.forward(x, want);
-  vf::nn::InferScratch scratch;
-  net.infer(x, got, scratch);
-  expect_close(got, want);
-
-  // Second call reuses the scratch buffers without growing them.
-  std::size_t held = scratch.element_count();
-  net.infer(x, got, scratch);
-  expect_close(got, want);
-  EXPECT_EQ(scratch.element_count(), held);
-}
-
 // ---- B packed once: the served path ------------------------------------
 
 // gemm_packed runs gemm_blocked's loop over a B that pack_b_panels packed
@@ -200,7 +173,7 @@ TEST_P(PackedGemm, EqualsBlockedBitForBit) {
   const Matrix a = random_matrix(m, k, 401 + m);
   const Matrix b = random_matrix(k, n, 402 + k);
   const Matrix bias = random_matrix(1, n, 403 + n);
-  std::vector<double> panels(vf::nn::detail::packed_b_size(k, n));
+  std::vector<double> panels(vf::nn::detail::packed_b_size<double>(k, n));
   vf::nn::detail::pack_b_panels(k, n, b.data().data(), panels.data());
   for (const bool with_bias : {false, true}) {
     for (const bool relu : {false, true}) {
@@ -229,7 +202,7 @@ TEST_P(PackedGemm, EachRowEqualsItselfComputedAlone) {
   const Matrix a = random_matrix(m, k, 501 + m);
   const Matrix b = random_matrix(k, n, 502 + k);
   const Matrix bias = random_matrix(1, n, 503 + n);
-  std::vector<double> panels(vf::nn::detail::packed_b_size(k, n));
+  std::vector<double> panels(vf::nn::detail::packed_b_size<double>(k, n));
   vf::nn::detail::pack_b_panels(k, n, b.data().data(), panels.data());
   for (const bool with_bias : {false, true}) {
     for (const bool relu : {false, true}) {

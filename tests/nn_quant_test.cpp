@@ -1,8 +1,8 @@
 // The packed inference form: the portable fp16 codec must be bit-exact
 // IEEE 754 binary16 with round-to-nearest-even, and QuantizedNetwork must
-// reproduce Network::infer bit for bit at QuantPolicy::None and within
-// each reduced policy's error envelope (Fp32 ~ fp32 rounding; Fp16/Int8
-// bounded, finite, and close).
+// reproduce the training forward (Network::forward) bit for bit at
+// QuantPolicy::None and stay within each reduced policy's error envelope
+// of it (Fp32 ~ fp32 rounding; Fp16/Int8 bounded, finite, and close).
 
 #include <gtest/gtest.h>
 
@@ -102,8 +102,7 @@ class QuantNetwork : public ::testing::Test {
   void SetUp() override {
     net_ = Network::mlp(23, {64, 32, 16}, 4, 12345);
     X_ = random_features(257, 23, 99);  // odd row count exercises tails
-    vf::nn::InferScratch scratch;
-    net_.infer(X_, want_, scratch);
+    net_.clone().forward(X_, want_);
   }
 
   Network net_;
@@ -153,23 +152,29 @@ TEST_F(QuantNetwork, Fp16AndInt8StayWithinPolicyEnvelope) {
 
 TEST_F(QuantNetwork, RowBatchingDoesNotChangeResults) {
   // A row's answer must not depend on which other rows share its chunk —
-  // the grid engine's tiles and serve's micro-batches rely on it.
+  // the grid engine's tiles and serve's micro-batches rely on it. Batches
+  // of 1-5, 8 and 9 rows fill the 4-row register tile in part, whole, and
+  // whole then in part.
   for (QuantPolicy policy :
        {QuantPolicy::Fp32, QuantPolicy::Fp16, QuantPolicy::Int8}) {
     QuantizedNetwork q(net_, policy);
-    QuantScratch s1, s2, s3;
-    Matrix a, b, c;
-    q.infer(X_, a, s1);
-    q.infer(X_, b, s2, /*row_batch=*/64);
-    q.infer(X_, c, s3, /*row_batch=*/1);
-    ASSERT_EQ(a.rows(), b.rows());
-    std::size_t differ = 0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      differ += a.data()[i] != b.data()[i] || a.data()[i] != c.data()[i];
+    QuantScratch whole_scratch;
+    Matrix whole;
+    q.infer(X_, whole, whole_scratch);
+    for (const std::size_t row_batch : {1, 2, 3, 4, 5, 8, 9, 64}) {
+      QuantScratch scratch;
+      Matrix got;
+      q.infer(X_, got, scratch, row_batch);
+      ASSERT_EQ(got.rows(), whole.rows());
+      std::size_t differ = 0;
+      for (std::size_t i = 0; i < whole.size(); ++i) {
+        differ += got.data()[i] != whole.data()[i];
+      }
+      EXPECT_EQ(differ, 0u) << "policy " << vf::nn::to_string(policy)
+                            << ", row batch " << row_batch << ": " << differ
+                            << " of " << whole.size()
+                            << " outputs change with the row batch";
     }
-    EXPECT_EQ(differ, 0u) << "policy " << vf::nn::to_string(policy) << ": "
-                          << differ << " of " << a.size()
-                          << " outputs change with the row batch";
   }
 }
 
@@ -222,21 +227,21 @@ TEST(QuantNetworkConstruction, RejectsWidthsThatDoNotChain) {
   }
 }
 
-TEST(PackedNetwork, Fp64EqualsInferBitForBitAtPaperWidths) {
+TEST(PackedNetwork, Fp64EqualsTrainingForwardBitForBitAtPaperWidths) {
   const Network net = Network::mlp(23, {512, 256, 128, 64, 16}, 4, 31);
   const QuantizedNetwork packed(net, QuantPolicy::None);
   std::vector<std::size_t> row_counts;
   for (std::size_t rows = 1; rows <= 17; ++rows) row_counts.push_back(rows);
   row_counts.push_back(97);
   row_counts.push_back(2048);
-  vf::nn::InferScratch reference_scratch;
+  Network reference = net.clone();
   QuantScratch scratch;
   for (const std::size_t rows : row_counts) {
     SCOPED_TRACE(std::to_string(rows) + " rows");
     const Matrix x = random_features(rows, 23, 500 + rows);
     Matrix want;
     Matrix got;
-    net.infer(x, want, reference_scratch);
+    reference.forward(x, want);
     packed.infer(x, got, scratch);
     ASSERT_EQ(got.rows(), want.rows());
     ASSERT_EQ(got.cols(), want.cols());

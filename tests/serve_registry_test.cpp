@@ -118,7 +118,7 @@ TEST_F(Registry, PackedFp64EntryChargesOneCopyOfTheWeights) {
   std::vector<std::size_t> widths = hidden;
   widths.push_back(static_cast<std::size_t>(vf::core::kTargetDimGrad));
   for (const std::size_t out : widths) {
-    padding += (vf::nn::detail::packed_b_size(in, out) - in * out) *
+    padding += (vf::nn::detail::packed_b_size<double>(in, out) - in * out) *
                    sizeof(double) +
                64;
     in = out;
