@@ -1,13 +1,16 @@
 // Google-benchmark micro benchmarks for the performance-critical kernels:
-// k-d tree construction/query, the grid hash's batched sweep, GEMM,
-// Delaunay insertion + location, the samplers, and feature extraction.
-// These track regressions in the substrate that every figure-level bench
-// depends on.
+// k-d tree construction/query, batched k-NN on both indexes, GEMM,
+// Delaunay insertion + location, the samplers, feature extraction, the
+// CRC-32 every file and wire frame carries, and a model load. These track
+// regressions in the substrate that every figure-level bench depends on.
 
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
+
 #include "common.hpp"
 #include "vf/core/fcnn.hpp"
+#include "vf/core/model.hpp"
 #include "vf/geometry/delaunay.hpp"
 #include "vf/interp/methods.hpp"
 #include "vf/nn/kernels.hpp"
@@ -16,6 +19,8 @@
 #include "vf/nn/quant.hpp"
 #include "vf/spatial/grid_hash.hpp"
 #include "vf/spatial/kdtree.hpp"
+#include "vf/spatial/neighbor_index.hpp"
+#include "vf/util/atomic_io.hpp"
 #include "vf/util/rng.hpp"
 
 namespace {
@@ -209,18 +214,18 @@ void BM_FeatureExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureExtraction)->Arg(1000)->Arg(10000);
 
-// The grid hash's batched k-NN on the in-situ step's cloud: 5 % of a
-// 32x32x16 ionization timestep. Argument 1 = 0 sweeps every void point in
-// grid order (the step's training-set and evaluation sweeps); 4 cycles
-// through 4-point batches at uniform random positions (a served read on
-// the live session). items_per_second is queries per second.
-void BM_GridHashSweep(benchmark::State& state) {
+// Batched k-NN on the in-situ step's cloud: 5 % of a 32x32x16 ionization
+// timestep. Argument 1 = 0 sweeps every void point in grid order (the
+// step's training-set and evaluation sweeps); 4 cycles through 4-point
+// batches at uniform random positions (a served read on the live session,
+// or a facade point query). items_per_second is queries per second.
+void knn_sweep(benchmark::State& state, vf::spatial::IndexKind kind) {
   const int k = static_cast<int>(state.range(0));
   auto ds = vf::data::make_dataset("ionization");
   auto truth = ds->generate({32, 32, 16}, 3.0);
   vf::sampling::ImportanceSampler sampler;
   auto cloud = sampler.sample(truth, 0.05, 1);
-  const vf::spatial::GridHashIndex index(cloud.points());
+  const auto index = vf::spatial::build_index(cloud.points(), kind);
   std::vector<Vec3> queries;
   std::size_t batch = static_cast<std::size_t>(state.range(1));
   if (batch == 0) {
@@ -242,8 +247,8 @@ void BM_GridHashSweep(benchmark::State& state) {
   std::vector<double> dist2(batch * uk);
   std::size_t at = 0;
   for (auto _ : state) {
-    index.knn_batch(queries.data() + at, batch, k, indices.data(),
-                    dist2.data());
+    index->knn_batch(queries.data() + at, batch, k, indices.data(),
+                     dist2.data());
     benchmark::DoNotOptimize(indices.data());
     benchmark::DoNotOptimize(dist2.data());
     benchmark::ClobberMemory();
@@ -251,8 +256,30 @@ void BM_GridHashSweep(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * batch));
 }
+void BM_GridHashSweep(benchmark::State& state) {
+  knn_sweep(state, vf::spatial::IndexKind::GridHash);
+}
 BENCHMARK(BM_GridHashSweep)->ArgNames({"k", "batch"})
     ->Args({5, 0})->Args({8, 0})->Args({5, 4});
+void BM_KdTreeSweep(benchmark::State& state) {
+  knn_sweep(state, vf::spatial::IndexKind::KdTree);
+}
+BENCHMARK(BM_KdTreeSweep)->ArgNames({"k", "batch"})->Args({5, 0})->Args({5, 4});
+
+// CRC-32 over random bytes: 64 is the carry-less fold's smallest input,
+// 96 a 4-point VFW1 request payload, 4096 a short section, and 1,487,946 a
+// paper-width model file. bytes_per_second is checksummed bytes.
+void BM_Crc32(benchmark::State& state) {
+  const auto len = static_cast<std::size_t>(state.range(0));
+  vf::util::Rng rng(23);
+  std::vector<unsigned char> buf(len);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.below(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(vf::util::crc32(buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * len));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(96)->Arg(4096)->Arg(1487946);
 
 void BM_NearestReconstruct(benchmark::State& state) {
   auto ds = vf::data::make_dataset("hurricane");
@@ -317,5 +344,23 @@ void BM_BatchReconstruct(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * truth.size());
 }
 BENCHMARK(BM_BatchReconstruct)->Arg(1024)->Arg(2048)->Arg(4096)->Arg(8192);
+
+// A paper-width model file, written once, loaded into its fp64 packed
+// form: a serve registry miss without the registry's locking (read, two
+// CRC passes, parse, pack).
+void BM_ModelLoad(benchmark::State& state) {
+  const auto path = std::filesystem::temp_directory_path() /
+                    "vf_micro_kernels_model_load.vfmd";
+  paper_arch_model().save(path.string());
+  for (auto _ : state) {
+    const auto model =
+        vf::core::PackedModel::load(path.string(), vf::nn::QuantPolicy::None);
+    benchmark::DoNotOptimize(model.memory_bytes());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(
+      state.iterations() * std::filesystem::file_size(path)));
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_ModelLoad);
 
 }  // namespace

@@ -12,6 +12,10 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include "vf/util/fault.hpp"
 
 namespace vf::util {
@@ -53,6 +57,74 @@ std::uint32_t load_u32(const unsigned char* p) {
   return v;
 }
 
+#if defined(__x86_64__)
+
+// Carry-less-multiply folding (Gopal et al., "Fast CRC Computation for
+// Generic Polynomials Using PCLMULQDQ Instruction", Intel, 2009). The fold
+// is compiled for PCLMUL whatever the build's -march, and crc32 runs it
+// only where the CPU reports the instructions.
+
+__attribute__((target("pclmul,sse4.1"))) __m128i load_16(
+    const unsigned char* p) {
+  // vf-lint: allow(cast) an unaligned load, which needs no alignment
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/// Carries the 128-bit lane `x` forward by the distance `k` encodes (its
+/// low constant multiplies x's low half, its high constant the high half)
+/// and adds the 16 bytes found there.
+__attribute__((target("pclmul,sse4.1"))) __m128i fold_16(__m128i x,
+                                                         __m128i k,
+                                                         __m128i next) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                     _mm_clmulepi64_si128(x, k, 0x11)),
+                       next);
+}
+
+/// Advances the CRC register `c` (pre- and post-inversion are the
+/// caller's) over `len` bytes, a multiple of 16 and at least 64. The
+/// constants are the paper's for the reflected IEEE polynomial: k1/k2 move
+/// a lane 512 bits ahead, k3/k4 128 bits, k5 folds 96 bits to 64, and
+/// P'/mu are the Barrett pair that reduces 64 bits to the 32-bit CRC.
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_clmul(
+    const unsigned char* p, std::size_t len, std::uint32_t c) {
+  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
+  const __m128i barrett = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+
+  // Four lanes, each folded 64 bytes ahead per step.
+  __m128i x0 =
+      _mm_xor_si128(load_16(p), _mm_cvtsi32_si128(static_cast<int>(c)));
+  __m128i x1 = load_16(p + 16);
+  __m128i x2 = load_16(p + 32);
+  __m128i x3 = load_16(p + 48);
+  for (p += 64, len -= 64; len >= 64; p += 64, len -= 64) {
+    x0 = fold_16(x0, k1k2, load_16(p));
+    x1 = fold_16(x1, k1k2, load_16(p + 16));
+    x2 = fold_16(x2, k1k2, load_16(p + 32));
+    x3 = fold_16(x3, k1k2, load_16(p + 48));
+  }
+  // The lanes into one, which then takes the remaining bytes 16 per step.
+  x0 = fold_16(x0, k3k4, x1);
+  x0 = fold_16(x0, k3k4, x2);
+  x0 = fold_16(x0, k3k4, x3);
+  for (; len >= 16; p += 16, len -= 16) x0 = fold_16(x0, k3k4, load_16(p));
+
+  // 128 -> 96 -> 64 bits, then Barrett reduction to the 32-bit register.
+  x0 = _mm_xor_si128(_mm_clmulepi64_si128(x0, k3k4, 0x10),
+                     _mm_srli_si128(x0, 8));
+  x0 = _mm_xor_si128(_mm_clmulepi64_si128(_mm_and_si128(x0, low32), k5, 0x00),
+                     _mm_srli_si128(x0, 4));
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), barrett, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), barrett, 0x00);
+  return static_cast<std::uint32_t>(
+      _mm_extract_epi32(_mm_xor_si128(x0, t), 1));
+}
+
+#endif  // __x86_64__
+
 /// fsync the file at `path` via a short-lived descriptor (ofstream cannot
 /// fsync). Returns false on open/fsync failure.
 bool fsync_path(const std::string& path) {
@@ -82,6 +154,17 @@ std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed) {
   const auto* bytes = static_cast<const unsigned char*>(data);
   const auto& t = kCrcTables;
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
+#if defined(__x86_64__)
+  static const bool clmul =
+      __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+  if (clmul && len >= 64) {
+    const std::size_t folded = len & ~std::size_t{15};
+    c = crc32_clmul(bytes, folded, c);
+    bytes += folded;
+    len -= folded;
+  }
+#endif
+  // Short buffers, the tail under 16 bytes, and CPUs without PCLMUL.
   for (; len >= 16; bytes += 16, len -= 16) {
     const std::uint32_t a = load_u32(bytes) ^ c;
     const std::uint32_t b = load_u32(bytes + 4);

@@ -368,8 +368,9 @@ std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
 }
 
 TEST_F(FaultTest, Crc32MatchesReferenceAtEveryLengthAndAlignment) {
-  // Lengths 0-1024 cover the 16-byte step, every tail length, and both
-  // together; offsets 0-15 put the word loads at every alignment.
+  // Lengths 0-1024 cover the 64-byte threshold of the carry-less fold, the
+  // 16-byte steps, every tail length, and all together; offsets 0-15 put
+  // the loads at every alignment.
   const auto buf = random_bytes(1024 + 16, 5);
   for (std::size_t offset = 0; offset < 16; ++offset) {
     for (std::size_t len = 0; len <= 1024; ++len) {
@@ -381,17 +382,26 @@ TEST_F(FaultTest, Crc32MatchesReferenceAtEveryLengthAndAlignment) {
 }
 
 TEST_F(FaultTest, Crc32MatchesReferenceOnAModelSizedBuffer) {
-  // About the size of one paper-width model's network section.
-  const auto buf = random_bytes(std::size_t{3} << 19, 6);
-  EXPECT_EQ(vf::util::crc32(buf.data(), buf.size()),
-            crc32_reference(buf.data(), buf.size()));
+  // About the size of one paper-width model's network section, then a
+  // paper-width model file's exact length, whose last 10 bytes are a tail.
+  for (const std::size_t len : {std::size_t{3} << 19, std::size_t{1487946}}) {
+    const auto buf = random_bytes(len, 6);
+    EXPECT_EQ(vf::util::crc32(buf.data(), buf.size()),
+              crc32_reference(buf.data(), buf.size()))
+        << "length " << len;
+  }
 }
 
 TEST_F(FaultTest, Crc32ChainsAcrossArbitrarySplits) {
   const auto buf = random_bytes(4099, 7);
   const std::uint32_t whole = crc32_reference(buf.data(), buf.size());
   vf::util::Rng rng(8);
-  std::vector<std::size_t> cuts = {0, 1, 15, 16, 17, 31, 32, 33, 4098, 4099};
+  // Fixed cuts put a part's start or end on every edge of the 64-byte and
+  // 16-byte folds, so chained calls enter and leave them mid-buffer.
+  std::vector<std::size_t> cuts = {0,    1,    15,   16,   17,   31,   32,
+                                   33,   63,   64,   65,   79,   80,   127,
+                                   128,  129,  4035, 4082, 4083, 4084, 4098,
+                                   4099};
   for (int i = 0; i < 64; ++i) cuts.push_back(rng.below(4100));
   for (const std::size_t a : cuts) {
     for (const std::size_t b : {a, (a + 4099) / 2, std::size_t{4099}}) {
