@@ -30,6 +30,20 @@ int timestep_stride() {
   return vf::util::quick_mode() ? 12 : 4;
 }
 
+vf::core::FcnnModel paper_arch_model(int outputs) {
+  const auto width = static_cast<std::size_t>(outputs);
+  vf::core::FcnnModel model;
+  model.net = vf::nn::Network::mlp(
+      static_cast<std::size_t>(vf::core::kFeatureDim),
+      vf::core::FcnnConfig{}.hidden, width, 42);
+  model.in_norm.mean.assign(vf::core::kFeatureDim, 0.0);
+  model.in_norm.stddev.assign(vf::core::kFeatureDim, 1.0);
+  model.out_norm.mean.assign(width, 0.0);
+  model.out_norm.stddev.assign(width, 1.0);
+  model.with_gradients = outputs == vf::core::kTargetDimGrad;
+  return model;
+}
+
 void title(const std::string& text) {
   std::printf("\n%s\n", text.c_str());
   for (std::size_t i = 0; i < text.size(); ++i) std::putchar('-');

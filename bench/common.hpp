@@ -37,6 +37,12 @@ vf::core::FcnnConfig bench_config();
 /// Timestep-step for sweeps over all timesteps at the current scale.
 int timestep_stride();
 
+/// An untrained model of the paper's architecture with `outputs` targets
+/// (vf::core::kTargetDimGrad, or kTargetDimScalar for a model without the
+/// gradient head) and identity normalisation. Inference, serving and model
+/// I/O cost the same whether or not the weights are trained.
+vf::core::FcnnModel paper_arch_model(int outputs);
+
 /// Print an underlined section title.
 void title(const std::string& text);
 

@@ -1,8 +1,9 @@
 // Google-benchmark micro benchmarks for the performance-critical kernels:
 // k-d tree construction/query, batched k-NN on both indexes, GEMM,
 // Delaunay insertion + location, the samplers, feature extraction, the
-// CRC-32 every file and wire frame carries, and a model load. These track
-// regressions in the substrate that every figure-level bench depends on.
+// CRC-32 every file and wire frame carries, a file read, and a model load.
+// These track regressions in the substrate that every figure-level bench
+// depends on.
 
 #include <benchmark/benchmark.h>
 
@@ -266,9 +267,10 @@ void BM_KdTreeSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_KdTreeSweep)->ArgNames({"k", "batch"})->Args({5, 0})->Args({5, 4});
 
-// CRC-32 over random bytes: 64 is the carry-less fold's smallest input,
-// 96 a 4-point VFW1 request payload, 4096 a short section, and 1,487,946 a
-// paper-width model file. bytes_per_second is checksummed bytes.
+// CRC-32 over random bytes: 64 is the 128-bit carry-less fold's smallest
+// input and 256 the 512-bit fold's, 96 a 4-point VFW1 request payload, 4096
+// a short section, and 1,487,946 a paper-width model file.
+// bytes_per_second is checksummed bytes.
 void BM_Crc32(benchmark::State& state) {
   const auto len = static_cast<std::size_t>(state.range(0));
   vf::util::Rng rng(23);
@@ -279,7 +281,27 @@ void BM_Crc32(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * len));
 }
-BENCHMARK(BM_Crc32)->Arg(64)->Arg(96)->Arg(4096)->Arg(1487946);
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(96)->Arg(256)->Arg(4096)->Arg(1487946);
+
+// util::read_file alone, on a file written once and then served from the
+// page cache: open, fstat and the read into a fresh buffer. 1,487,946 bytes
+// is a paper-width model file. bytes_per_second is bytes read.
+void BM_ReadFile(benchmark::State& state) {
+  const auto len = static_cast<std::size_t>(state.range(0));
+  const auto path =
+      std::filesystem::temp_directory_path() / "vf_micro_kernels_read_file";
+  const std::string bytes(len, '\x5a');
+  vf::util::atomic_write_file(path.string(), [&](std::ostream& out) {
+    out.write(bytes.data(), static_cast<std::streamsize>(len));
+  });
+  for (auto _ : state) {
+    auto file = vf::util::read_file(path.string(), "BM_ReadFile", "model_read");
+    benchmark::DoNotOptimize(file);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * len));
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_ReadFile)->Arg(1487946);
 
 void BM_NearestReconstruct(benchmark::State& state) {
   auto ds = vf::data::make_dataset("hurricane");
@@ -309,22 +331,6 @@ void BM_LinearReconstruct(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearReconstruct);
 
-// Untrained paper-architecture model with identity normalisation: the
-// reconstruction benches below time the inference path, which does not care
-// whether the weights are trained.
-vf::core::FcnnModel paper_arch_model() {
-  vf::core::FcnnModel model;
-  model.net = vf::nn::Network::mlp(
-      static_cast<std::size_t>(vf::core::kFeatureDim),
-      vf::core::FcnnConfig{}.hidden,
-      static_cast<std::size_t>(vf::core::kTargetDimGrad), 42);
-  model.in_norm.mean.assign(vf::core::kFeatureDim, 0.0);
-  model.in_norm.stddev.assign(vf::core::kFeatureDim, 1.0);
-  model.out_norm.mean.assign(vf::core::kTargetDimGrad, 0.0);
-  model.out_norm.stddev.assign(vf::core::kTargetDimGrad, 1.0);
-  return model;
-}
-
 // Whole-grid FCNN reconstruction by the tiled engine, swept over tile
 // sizes. items_per_second is reconstructed grid points per second.
 void BM_BatchReconstruct(benchmark::State& state) {
@@ -334,7 +340,7 @@ void BM_BatchReconstruct(benchmark::State& state) {
   auto cloud = sampler.sample(truth, 0.02, 1);
   // vf-lint: allow(api-facade) benchmarks the engine directly
   vf::core::FcnnReconstructor rec(
-      paper_arch_model(),
+      vf::bench::paper_arch_model(vf::core::kTargetDimGrad),
       vf::core::ReconstructOptions{
           .tile_size = static_cast<std::size_t>(state.range(0))});
   for (auto _ : state) {
@@ -351,7 +357,7 @@ BENCHMARK(BM_BatchReconstruct)->Arg(1024)->Arg(2048)->Arg(4096)->Arg(8192);
 void BM_ModelLoad(benchmark::State& state) {
   const auto path = std::filesystem::temp_directory_path() /
                     "vf_micro_kernels_model_load.vfmd";
-  paper_arch_model().save(path.string());
+  vf::bench::paper_arch_model(vf::core::kTargetDimGrad).save(path.string());
   for (auto _ : state) {
     const auto model =
         vf::core::PackedModel::load(path.string(), vf::nn::QuantPolicy::None);

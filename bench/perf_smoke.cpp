@@ -22,6 +22,7 @@
 #include <string>
 #include <thread>
 
+#include "common.hpp"
 #include "vf/api/pipeline.hpp"
 #include "vf/core/fcnn.hpp"
 #include "vf/data/registry.hpp"
@@ -47,21 +48,6 @@ std::vector<Vec3> random_points(std::size_t n, std::uint64_t seed = 7) {
     pts.push_back({rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 1)});
   }
   return pts;
-}
-
-/// Untrained paper-architecture model with identity normalisation — the
-/// inference path does not care whether the weights are trained.
-vf::core::FcnnModel paper_arch_model() {
-  vf::core::FcnnModel model;
-  model.net = vf::nn::Network::mlp(
-      static_cast<std::size_t>(vf::core::kFeatureDim),
-      vf::core::FcnnConfig{}.hidden,
-      static_cast<std::size_t>(vf::core::kTargetDimGrad), 42);
-  model.in_norm.mean.assign(vf::core::kFeatureDim, 0.0);
-  model.in_norm.stddev.assign(vf::core::kFeatureDim, 1.0);
-  model.out_norm.mean.assign(vf::core::kTargetDimGrad, 0.0);
-  model.out_norm.stddev.assign(vf::core::kTargetDimGrad, 1.0);
-  return model;
 }
 
 /// Run `fn` `repeat` times; record the best wall time as one phase and
@@ -203,7 +189,8 @@ int main(int argc, char** argv) {
   {  // Tiled grid reconstruction at 4096-point tiles, fp64.
     // vf-lint: allow(api-facade) benchmarks the engine directly
     vf::core::FcnnReconstructor brec(
-        paper_arch_model(), vf::core::ReconstructOptions{.tile_size = 4096});
+        vf::bench::paper_arch_model(vf::core::kTargetDimGrad),
+        vf::core::ReconstructOptions{.tile_size = 4096});
     rec.set_metric("streaming_points_per_second",
                    run_phase(rec, "batch_reconstruct_48", points, repeat,
                              [&] {
@@ -219,7 +206,8 @@ int main(int argc, char** argv) {
     vf::core::ReconstructOptions fast;
     fast.quant = vf::nn::QuantPolicy::Fp16;
     // vf-lint: allow(api-facade) benchmarks the engine directly
-    vf::core::FcnnReconstructor frec(paper_arch_model(), fast);
+    vf::core::FcnnReconstructor frec(
+        vf::bench::paper_arch_model(vf::core::kTargetDimGrad), fast);
     rec.set_metric("fcnn_points_per_second",
                    run_phase(rec, "fcnn_reconstruct_48", points, repeat,
                              [&] {
@@ -232,7 +220,8 @@ int main(int argc, char** argv) {
     // (kept gated so the fast path can never silently replace a regressed
     // exact path).
     // vf-lint: allow(api-facade) benchmarks the engine directly
-    vf::core::FcnnReconstructor frec(paper_arch_model());
+    vf::core::FcnnReconstructor frec(
+        vf::bench::paper_arch_model(vf::core::kTargetDimGrad));
     rec.set_metric("fcnn_fp64_points_per_second",
                    run_phase(rec, "fcnn_reconstruct_fp64_48", points, repeat,
                              [&] {
@@ -248,7 +237,7 @@ int main(int argc, char** argv) {
         std::filesystem::temp_directory_path() / "vf_perf_smoke_serve";
     std::filesystem::create_directories(model_dir);
     const std::string model_path = (model_dir / "model.vfmd").string();
-    paper_arch_model().save(model_path);
+    vf::bench::paper_arch_model(vf::core::kTargetDimGrad).save(model_path);
 
     vf::serve::ShardRouter service;
     service.add_session("t0", cloud, model_path);

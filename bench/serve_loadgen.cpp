@@ -49,6 +49,7 @@
 #include <thread>
 #include <vector>
 
+#include "common.hpp"
 #include "vf/core/fcnn.hpp"
 #include "vf/core/model.hpp"
 #include "vf/data/registry.hpp"
@@ -66,25 +67,6 @@ using vf::field::Vec3;
 using vf::serve::RouterOptions;
 using vf::serve::ShardRouter;
 using Clock = std::chrono::steady_clock;
-
-/// Untrained paper-architecture model with identity normalisation — the
-/// serving path does not care whether the weights are trained, and the
-/// full-width network is what makes per-request inference expensive enough
-/// for batching and sharding to matter.
-vf::core::FcnnModel paper_arch_model() {
-  vf::core::FcnnModel model;
-  model.net = vf::nn::Network::mlp(
-      static_cast<std::size_t>(vf::core::kFeatureDim),
-      vf::core::FcnnConfig{}.hidden,
-      static_cast<std::size_t>(vf::core::kTargetDimScalar), 42);
-  model.in_norm.mean.assign(vf::core::kFeatureDim, 0.0);
-  model.in_norm.stddev.assign(vf::core::kFeatureDim, 1.0);
-  model.out_norm.mean.assign(vf::core::kTargetDimScalar, 0.0);
-  model.out_norm.stddev.assign(vf::core::kTargetDimScalar, 1.0);
-  model.with_gradients = false;
-  model.dataset = "serve-loadgen";
-  return model;
-}
 
 struct OpenLoopResult {
   double seconds = 0.0;       ///< generation window (not including drain)
@@ -253,7 +235,11 @@ int main(int argc, char** argv) {
       std::filesystem::temp_directory_path() / "vf_serve_loadgen";
   std::filesystem::create_directories(model_dir);
   const std::string model_path = (model_dir / "model.vfmd").string();
-  paper_arch_model().save(model_path);
+  // The full-width network is what makes per-request inference expensive
+  // enough for batching and sharding to matter.
+  auto model = vf::bench::paper_arch_model(vf::core::kTargetDimScalar);
+  model.dataset = "serve-loadgen";
+  model.save(model_path);
 
   std::vector<std::string> keys;
   keys.reserve(static_cast<std::size_t>(n_sessions));

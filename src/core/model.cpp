@@ -131,9 +131,9 @@ namespace {
 template <typename NetworkSink>
 void parse_model_file(const std::string& path, FcnnModel& meta,
                       NetworkSink network) {
-  const std::string bytes =
+  const vf::util::FileBytes bytes =
       vf::util::read_file(path, "FcnnModel::load", "model_read");
-  vf::util::ByteReader in(bytes, "FcnnModel::load");
+  vf::util::ByteReader in(bytes.view(), "FcnnModel::load");
   if (in.view(4) != std::string_view(kMagic, 4)) {
     throw std::runtime_error("FcnnModel::load: bad magic in " + path);
   }
@@ -143,13 +143,14 @@ void parse_model_file(const std::string& path, FcnnModel& meta,
     // grad flag + name length (never equal to a small version integer —
     // the flag byte is 0/1 and names are short). No checksums; bounds come
     // from the real byte counts.
-    vf::util::ByteReader legacy(std::string_view(bytes).substr(4),
-                                "FcnnModel::load");
+    vf::util::ByteReader legacy(bytes.view().substr(4), "FcnnModel::load");
     read_metadata(legacy, meta);
     const std::string net_path = path + ".net";
     try {
-      network(vf::util::read_file(net_path, "load_network", "serialize_read"),
-              "load_network");
+      network(
+          vf::util::read_file(net_path, "load_network", "serialize_read")
+              .view(),
+          "load_network");
     } catch (const std::runtime_error& e) {
       throw std::runtime_error(std::string(e.what()) + " in " + net_path);
     }

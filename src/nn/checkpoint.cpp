@@ -223,9 +223,9 @@ std::vector<std::string> Checkpointer::list(const std::string& dir) {
 
 void Checkpointer::load(const std::string& path, Network& net,
                         TrainerState& state) {
-  const std::string bytes =
+  const vf::util::FileBytes bytes =
       vf::util::read_file(path, "Checkpointer::load", "checkpoint_read");
-  vf::util::ByteReader in(bytes, "Checkpointer::load");
+  vf::util::ByteReader in(bytes.view(), "Checkpointer::load");
   if (in.view(4) != std::string_view(kMagic, 4)) {
     throw std::runtime_error("Checkpointer::load: bad magic in " + path);
   }

@@ -41,6 +41,7 @@
 // behaves identically on compilers/targets without native half support.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -127,9 +128,10 @@ class QuantizedNetwork {
 
  private:
   /// One dense layer (with its ReLU fused): its packed panels, then its
-  /// biases, in fp64 under None and in fp32 otherwise (the other vector
-  /// stays empty), starting at element `at`, the first 64-byte boundary.
-  /// The vectors are plain allocations with a cache line of slack: with
+  /// biases, in fp64 under None and in fp32 otherwise (the other array
+  /// stays null), starting at element `at`, the first 64-byte boundary.
+  /// Each array holds `size` elements, left unfilled until the pack writes
+  /// them. They are plain allocations with a cache line of slack: with
   /// aligned allocations, a registry that kept loading and evicting models
   /// never reused the freed panels, and its heap grew by most of a model
   /// per load.
@@ -137,8 +139,9 @@ class QuantizedNetwork {
     std::size_t in = 0;
     std::size_t out = 0;
     bool relu = false;
-    std::vector<double> f64;
-    std::vector<float> f32;
+    std::unique_ptr<double[]> f64;
+    std::unique_ptr<float[]> f32;
+    std::size_t size = 0;
     std::size_t at = 0;
   };
 

@@ -187,16 +187,19 @@ void pack_fp32_panels(const LayerView& l, QuantPolicy policy, float* dst) {
   detail::pack_b_panels(l.in, l.out, rounded.data(), dst);
 }
 
-/// Size `v` for `n` elements plus a cache line of slack and return the
-/// first 64-byte boundary in it, whose index goes to `at`.
+/// Allocate `v` unfilled for `n` elements plus a cache line of slack, its
+/// element count to `size`, and return the first 64-byte boundary in it,
+/// whose index goes to `at`.
 template <typename T>
-T* line_start(std::vector<T>& v, std::size_t n, std::size_t& at) {
+T* line_start(std::unique_ptr<T[]>& v, std::size_t n, std::size_t& size,
+              std::size_t& at) {
   constexpr std::size_t kLine = 64;
-  v.resize(n + kLine / sizeof(T));
-  void* p = v.data();
-  std::size_t space = v.size() * sizeof(T);
+  size = n + kLine / sizeof(T);
+  v = std::make_unique_for_overwrite<T[]>(size);
+  void* p = v.get();
+  std::size_t space = size * sizeof(T);
   T* start = static_cast<T*>(std::align(kLine, n * sizeof(T), p, space));
-  at = static_cast<std::size_t>(start - v.data());
+  at = static_cast<std::size_t>(start - v.get());
   return start;
 }
 
@@ -246,12 +249,12 @@ QuantizedNetwork::QuantizedNetwork(const std::vector<LayerView>& layers,
     max_width_ = std::max({max_width_, q.in, q.out});
     if (policy == QuantPolicy::None) {
       const std::size_t panels = detail::packed_b_size<double>(q.in, q.out);
-      double* dst = line_start(q.f64, panels + q.out, q.at);
+      double* dst = line_start(q.f64, panels + q.out, q.size, q.at);
       detail::pack_b_panels(q.in, q.out, l.weights, dst);
       std::memcpy(dst + panels, l.bias, q.out * sizeof(double));
     } else {
       const std::size_t panels = detail::packed_b_size<float>(q.in, q.out);
-      float* dst = line_start(q.f32, panels + q.out, q.at);
+      float* dst = line_start(q.f32, panels + q.out, q.size, q.at);
       pack_fp32_panels(l, policy, dst);
       for (std::size_t c = 0; c < q.out; ++c) {
         dst[panels + c] = static_cast<float>(load_double(l.bias, c));
@@ -267,8 +270,7 @@ QuantizedNetwork::QuantizedNetwork(const std::vector<LayerView>& layers,
 std::size_t QuantizedNetwork::memory_bytes() const {
   std::size_t bytes = sizeof(*this);
   for (const QLayer& q : layers_) {
-    bytes += q.f64.capacity() * sizeof(double) +
-             q.f32.capacity() * sizeof(float);
+    bytes += q.size * (q.f64 ? sizeof(double) : sizeof(float));
   }
   return bytes;
 }
@@ -318,7 +320,7 @@ void QuantizedNetwork::infer_fp64(const Matrix& input, Matrix& output,
       const QLayer& q = layers_[li];
       const bool last = li + 1 == layers_.size();
       double* dst = last ? output.row(b) : bufs[li % 2];
-      const double* w = q.f64.data() + q.at;
+      const double* w = q.f64.get() + q.at;
       detail::gemm_packed(mb, q.out, q.in, cur, ld, w, dst, q.out,
                           w + detail::packed_b_size<double>(q.in, q.out),
                           q.relu);
@@ -357,7 +359,7 @@ void QuantizedNetwork::infer_fp32(const Matrix& input, Matrix& output,
     float* nxt = scratch.act_b.data();
     for (std::size_t li = 0; li < layers_.size(); ++li) {
       const QLayer& q = layers_[li];
-      const float* w = q.f32.data() + q.at;
+      const float* w = q.f32.get() + q.at;
       detail::gemm_packed(mb, q.out, q.in, cur, q.in, w, nxt, q.out,
                           w + detail::packed_b_size<float>(q.in, q.out),
                           q.relu);

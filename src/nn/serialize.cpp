@@ -203,7 +203,7 @@ void save_network(const Network& net, const std::string& path) {
 Network load_network(const std::string& path) {
   try {
     return network_from_bytes(
-        vf::util::read_file(path, "load_network", "serialize_read"),
+        vf::util::read_file(path, "load_network", "serialize_read").view(),
         "load_network");
   } catch (const std::runtime_error& e) {
     throw std::runtime_error(std::string(e.what()) + " in " + path);
@@ -237,9 +237,9 @@ void save_dense_tail(const Network& net, int n, const std::string& path) {
 }
 
 void load_dense_tail(Network& net, int n, const std::string& path) {
-  const std::string bytes =
+  const vf::util::FileBytes bytes =
       vf::util::read_file(path, "load_dense_tail", "serialize_read");
-  ByteReader in(bytes, "load_dense_tail");
+  ByteReader in(bytes.view(), "load_dense_tail");
   if (in.view(4) != std::string_view(kTailMagic, 4)) {
     throw std::runtime_error("load_dense_tail: bad magic in " + path);
   }

@@ -57,12 +57,42 @@ std::uint32_t load_u32(const unsigned char* p) {
   return v;
 }
 
+/// Advances the CRC register `c` over `len` bytes by the table loop, 16
+/// bytes per step and then one at a time. Inlined, so that a short buffer
+/// pays no call for it.
+[[gnu::always_inline]] inline std::uint32_t crc32_table(
+    const unsigned char* bytes, std::size_t len, std::uint32_t c) {
+  const auto& t = kCrcTables;
+  for (; len >= 16; bytes += 16, len -= 16) {
+    const std::uint32_t a = load_u32(bytes) ^ c;
+    const std::uint32_t b = load_u32(bytes + 4);
+    const std::uint32_t d = load_u32(bytes + 8);
+    const std::uint32_t e = load_u32(bytes + 12);
+    c = t[15][a & 0xFFu] ^ t[14][(a >> 8u) & 0xFFu] ^
+        t[13][(a >> 16u) & 0xFFu] ^ t[12][a >> 24u] ^
+        t[11][b & 0xFFu] ^ t[10][(b >> 8u) & 0xFFu] ^
+        t[9][(b >> 16u) & 0xFFu] ^ t[8][b >> 24u] ^
+        t[7][d & 0xFFu] ^ t[6][(d >> 8u) & 0xFFu] ^
+        t[5][(d >> 16u) & 0xFFu] ^ t[4][d >> 24u] ^
+        t[3][e & 0xFFu] ^ t[2][(e >> 8u) & 0xFFu] ^
+        t[1][(e >> 16u) & 0xFFu] ^ t[0][e >> 24u];
+  }
+  for (; len > 0; ++bytes, --len) {
+    c = t[0][(c ^ *bytes) & 0xFFu] ^ (c >> 8u);
+  }
+  return c;
+}
+
 #if defined(__x86_64__)
 
 // Carry-less-multiply folding (Gopal et al., "Fast CRC Computation for
-// Generic Polynomials Using PCLMULQDQ Instruction", Intel, 2009). The fold
-// is compiled for PCLMUL whatever the build's -march, and crc32 runs it
-// only where the CPU reports the instructions.
+// Generic Polynomials Using PCLMULQDQ Instruction", Intel, 2009), in a
+// 128-bit form (PCLMULQDQ) and a 512-bit one (VPCLMULQDQ). Each fold is
+// compiled for its instructions whatever the build's -march, and crc32 runs
+// it only where the CPU reports them. A fold constant that carries a
+// 128-bit part D bits ahead holds x^(D+32) mod P in its low half and
+// x^(D-32) mod P in its high half, each bit-reflected and shifted left one
+// bit, as in the paper.
 
 __attribute__((target("pclmul,sse4.1"))) __m128i load_16(
     const unsigned char* p) {
@@ -81,20 +111,36 @@ __attribute__((target("pclmul,sse4.1"))) __m128i fold_16(__m128i x,
                        next);
 }
 
-/// Advances the CRC register `c` (pre- and post-inversion are the
-/// caller's) over `len` bytes, a multiple of 16 and at least 64. The
-/// constants are the paper's for the reflected IEEE polynomial: k1/k2 move
-/// a lane 512 bits ahead, k3/k4 128 bits, k5 folds 96 bits to 64, and
-/// P'/mu are the Barrett pair that reduces 64 bits to the 32-bit CRC.
-__attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_clmul(
-    const unsigned char* p, std::size_t len, std::uint32_t c) {
-  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+/// Folds the last `len` bytes at `p` (a multiple of 16) into the lane `x`
+/// 16 per step (k3/k4 move a lane 128 bits ahead), then reduces it: k5
+/// folds 96 bits to 64, and P'/mu are the Barrett pair that brings 64 bits
+/// to the 32-bit CRC register.
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t reduce_lane(
+    __m128i x, const unsigned char* p, std::size_t len) {
   const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
   const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
   const __m128i barrett = _mm_set_epi64x(0x1f7011641, 0x1db710641);
   const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+  for (; len >= 16; p += 16, len -= 16) x = fold_16(x, k3k4, load_16(p));
 
-  // Four lanes, each folded 64 bytes ahead per step.
+  // 128 -> 96 -> 64 bits, then Barrett reduction to the 32-bit register.
+  x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+  x = _mm_xor_si128(_mm_clmulepi64_si128(_mm_and_si128(x, low32), k5, 0x00),
+                    _mm_srli_si128(x, 4));
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x, low32), barrett, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), barrett, 0x00);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x, t), 1));
+}
+
+/// Advances the CRC register `c` (pre- and post-inversion are the
+/// caller's) over `len` bytes, a multiple of 16 and at least 64: four
+/// 128-bit lanes fold 64 bytes per step (k1/k2 move a lane 512 bits
+/// ahead), then fold into one.
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_clmul(
+    const unsigned char* p, std::size_t len, std::uint32_t c) {
+  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+
   __m128i x0 =
       _mm_xor_si128(load_16(p), _mm_cvtsi32_si128(static_cast<int>(c)));
   __m128i x1 = load_16(p + 16);
@@ -106,22 +152,75 @@ __attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_clmul(
     x2 = fold_16(x2, k1k2, load_16(p + 32));
     x3 = fold_16(x3, k1k2, load_16(p + 48));
   }
-  // The lanes into one, which then takes the remaining bytes 16 per step.
   x0 = fold_16(x0, k3k4, x1);
   x0 = fold_16(x0, k3k4, x2);
   x0 = fold_16(x0, k3k4, x3);
-  for (; len >= 16; p += 16, len -= 16) x0 = fold_16(x0, k3k4, load_16(p));
-
-  // 128 -> 96 -> 64 bits, then Barrett reduction to the 32-bit register.
-  x0 = _mm_xor_si128(_mm_clmulepi64_si128(x0, k3k4, 0x10),
-                     _mm_srli_si128(x0, 8));
-  x0 = _mm_xor_si128(_mm_clmulepi64_si128(_mm_and_si128(x0, low32), k5, 0x00),
-                     _mm_srli_si128(x0, 4));
-  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), barrett, 0x10);
-  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), barrett, 0x00);
-  return static_cast<std::uint32_t>(
-      _mm_extract_epi32(_mm_xor_si128(x0, t), 1));
+  return reduce_lane(x0, p, len);
 }
+
+// The 512-bit fold adds pclmul to its target so that reduce_lane inlines.
+// Its constants are built with _mm512_set_epi64 and its 128-bit parts
+// taken with masked extracts: GCC 12's plain broadcast and extract
+// intrinsics pass _mm*_undefined_* operands that -Wmaybe-uninitialized
+// flags.
+
+/// The 128-bit fold over each of a 512-bit lane's four parts at once.
+__attribute__((target("avx512f,vpclmulqdq,pclmul"))) __m512i fold_64(
+    __m512i x, __m512i k, __m512i next) {
+  return _mm512_ternarylogic_epi64(_mm512_clmulepi64_epi128(x, k, 0x00),
+                                   _mm512_clmulepi64_epi128(x, k, 0x11), next,
+                                   0x96);  // a ^ b ^ c
+}
+
+/// crc32_clmul's contract for `len` of at least 256: four 512-bit lanes
+/// fold 256 bytes per step (2048 bits ahead), then fold into one, which
+/// takes 64 bytes per step (512 bits ahead, k1/k2). Its four parts are
+/// carried 384, 256 and 128 bits ahead onto the last, and the sum joins
+/// the 128-bit fold's last steps.
+__attribute__((target("avx512f,vpclmulqdq,pclmul"))) std::uint32_t
+crc32_vpclmul(const unsigned char* p, std::size_t len, std::uint32_t c) {
+  const __m512i k2048 =
+      _mm512_set_epi64(0x1322d1430, 0x11542778a, 0x1322d1430, 0x11542778a,
+                       0x1322d1430, 0x11542778a, 0x1322d1430, 0x11542778a);
+  const __m512i k512 =
+      _mm512_set_epi64(0x1c6e41596, 0x154442bd4, 0x1c6e41596, 0x154442bd4,
+                       0x1c6e41596, 0x154442bd4, 0x1c6e41596, 0x154442bd4);
+  // Parts 0-2 move 384, 256 and 128 bits ahead; part 3 stays.
+  const __m512i k_parts =
+      _mm512_set_epi64(0, 0, 0x0ccaa009e, 0x1751997d0, 0x15a546366,
+                       0xf1da05aa, 0x174359406, 0x3db1ecdc);
+
+  __m512i z0 = _mm512_xor_si512(
+      _mm512_loadu_si512(p),
+      _mm512_zextsi128_si512(_mm_cvtsi32_si128(static_cast<int>(c))));
+  __m512i z1 = _mm512_loadu_si512(p + 64);
+  __m512i z2 = _mm512_loadu_si512(p + 128);
+  __m512i z3 = _mm512_loadu_si512(p + 192);
+  for (p += 256, len -= 256; len >= 256; p += 256, len -= 256) {
+    z0 = fold_64(z0, k2048, _mm512_loadu_si512(p));
+    z1 = fold_64(z1, k2048, _mm512_loadu_si512(p + 64));
+    z2 = fold_64(z2, k2048, _mm512_loadu_si512(p + 128));
+    z3 = fold_64(z3, k2048, _mm512_loadu_si512(p + 192));
+  }
+  z0 = fold_64(z0, k512, z1);
+  z0 = fold_64(z0, k512, z2);
+  z0 = fold_64(z0, k512, z3);
+  for (; len >= 64; p += 64, len -= 64) {
+    z0 = fold_64(z0, k512, _mm512_loadu_si512(p));
+  }
+  const __m512i t = fold_64(z0, k_parts, _mm512_maskz_mov_epi64(0xC0, z0));
+  const __m128i x =
+      _mm_xor_si128(_mm_xor_si128(_mm512_maskz_extracti32x4_epi32(0xF, t, 0),
+                                  _mm512_maskz_extracti32x4_epi32(0xF, t, 1)),
+                    _mm_xor_si128(_mm512_maskz_extracti32x4_epi32(0xF, t, 2),
+                                  _mm512_maskz_extracti32x4_epi32(0xF, t, 3)));
+  return reduce_lane(x, p, len);
+}
+
+/// The length from which the 512-bit fold starts at a cache line. Below
+/// it the buffer fits in L1, where loads that span two lines cost no more
+/// than the table loop over the head.
+constexpr std::size_t kAlignFrom = 65536;
 
 #endif  // __x86_64__
 
@@ -152,41 +251,35 @@ void fsync_parent_dir(const std::string& path) {
 
 std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed) {
   const auto* bytes = static_cast<const unsigned char*>(data);
-  const auto& t = kCrcTables;
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
 #if defined(__x86_64__)
   static const bool clmul =
       __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+  static const bool vpclmul = clmul && __builtin_cpu_supports("avx512f") &&
+                              __builtin_cpu_supports("vpclmulqdq");
   if (clmul && len >= 64) {
+    const bool wide = vpclmul && len >= 256;
+    if (wide && len >= kAlignFrom) {
+      // Streamed from L2, the fold runs about a quarter slower when its
+      // 512-bit loads span two cache lines, so the table loop takes the
+      // bytes up to a 64-byte boundary.
+      const std::size_t head = -std::bit_cast<std::uintptr_t>(bytes) & 63u;
+      c = crc32_table(bytes, head, c);
+      bytes += head;
+      len -= head;
+    }
     const std::size_t folded = len & ~std::size_t{15};
-    c = crc32_clmul(bytes, folded, c);
+    c = wide ? crc32_vpclmul(bytes, folded, c) : crc32_clmul(bytes, folded, c);
     bytes += folded;
     len -= folded;
   }
 #endif
   // Short buffers, the tail under 16 bytes, and CPUs without PCLMUL.
-  for (; len >= 16; bytes += 16, len -= 16) {
-    const std::uint32_t a = load_u32(bytes) ^ c;
-    const std::uint32_t b = load_u32(bytes + 4);
-    const std::uint32_t d = load_u32(bytes + 8);
-    const std::uint32_t e = load_u32(bytes + 12);
-    c = t[15][a & 0xFFu] ^ t[14][(a >> 8u) & 0xFFu] ^
-        t[13][(a >> 16u) & 0xFFu] ^ t[12][a >> 24u] ^
-        t[11][b & 0xFFu] ^ t[10][(b >> 8u) & 0xFFu] ^
-        t[9][(b >> 16u) & 0xFFu] ^ t[8][b >> 24u] ^
-        t[7][d & 0xFFu] ^ t[6][(d >> 8u) & 0xFFu] ^
-        t[5][(d >> 16u) & 0xFFu] ^ t[4][d >> 24u] ^
-        t[3][e & 0xFFu] ^ t[2][(e >> 8u) & 0xFFu] ^
-        t[1][(e >> 16u) & 0xFFu] ^ t[0][e >> 24u];
-  }
-  for (; len > 0; ++bytes, --len) {
-    c = t[0][(c ^ *bytes) & 0xFFu] ^ (c >> 8u);
-  }
-  return c ^ 0xFFFFFFFFu;
+  return crc32_table(bytes, len, c) ^ 0xFFFFFFFFu;
 }
 
-std::string read_file(const std::string& path, const char* what,
-                      const char* failpoint) {
+FileBytes read_file(const std::string& path, const char* what,
+                    const char* failpoint) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);  // NOLINT(cppcoreguidelines-pro-type-vararg,hicpp-vararg)
   if (fd < 0 || fault::should_fail(failpoint)) {
     if (fd >= 0) ::close(fd);
@@ -203,9 +296,10 @@ std::string read_file(const std::string& path, const char* what,
     throw std::runtime_error(std::string(what) + ": not a regular file " +
                              path);
   }
-  std::string bytes(static_cast<std::size_t>(st.st_size), '\0');
-  for (std::size_t got = 0; got < bytes.size();) {
-    const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+  const auto size = static_cast<std::size_t>(st.st_size);
+  FileBytes bytes{std::make_unique_for_overwrite<char[]>(size), size};
+  for (std::size_t got = 0; got < size;) {
+    const ssize_t n = ::read(fd, bytes.data.get() + got, size - got);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) {
       throw std::runtime_error(std::string(what) + ": read failed for " +

@@ -24,6 +24,7 @@
 #include <cstring>
 #include <functional>
 #include <istream>
+#include <memory>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -39,19 +40,32 @@ namespace vf::util {
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `len` bytes. Chainable:
 /// pass the previous result as `seed` to extend a running checksum. On
-/// x86-64 CPUs with PCLMUL, chosen once at run time whatever the build's
-/// -march, buffers of 64 bytes or more are folded by carry-less
-/// multiplication; shorter buffers, the last 0-15 bytes, and other CPUs
-/// take a slicing-by-16 table loop. Both give the same value.
+/// x86-64, chosen once at run time from the CPU whatever the build's
+/// -march, buffers are folded by carry-less multiplication: 512 bits per
+/// instruction (AVX-512F with VPCLMULQDQ) from 256 bytes, 128 bits
+/// (PCLMULQDQ) from 64 bytes. Shorter buffers, the last 0-15 bytes, and
+/// other CPUs take a slicing-by-16 table loop, as do the bytes before the
+/// first 64-byte boundary of a 512-bit fold over 64 KiB or more, so that
+/// its loads do not span two cache lines. Every path gives the same value.
 std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed = 0);
 
+/// A whole file's bytes, as read_file returns them: move-only, with
+/// storage that was not zero-filled before the read wrote it.
+struct FileBytes {
+  std::unique_ptr<char[]> data;
+  std::size_t size = 0;
+
+  [[nodiscard]] std::string_view view() const { return {data.get(), size}; }
+};
+
 /// The whole regular file at `path` in one buffer, for loaders that parse
-/// it through a ByteReader. `failpoint` names the fault site (see
-/// vf/util/fault.hpp) that injects an open failure. Throws
-/// std::runtime_error tagged with `what` when the file cannot be opened,
-/// is not a regular file, or cannot be read in full.
-std::string read_file(const std::string& path, const char* what,
-                      const char* failpoint);
+/// its view through a ByteReader. The buffer is written once, by the read.
+/// `failpoint` names the fault site (see vf/util/fault.hpp) that injects an
+/// open failure. Throws std::runtime_error tagged with `what` when the file
+/// cannot be opened, is not a regular file, or cannot be read in full, so
+/// no byte that was not read is ever returned.
+FileBytes read_file(const std::string& path, const char* what,
+                    const char* failpoint);
 
 /// Atomically replace `path` with the bytes `writer` produces: write-temp,
 /// flush, fsync, rename. On any failure (including injected faults) the

@@ -368,9 +368,10 @@ std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
 }
 
 TEST_F(FaultTest, Crc32MatchesReferenceAtEveryLengthAndAlignment) {
-  // Lengths 0-1024 cover the 64-byte threshold of the carry-less fold, the
-  // 16-byte steps, every tail length, and all together; offsets 0-15 put
-  // the loads at every alignment.
+  // Lengths 0-1024 cover the 64- and 256-byte thresholds of the 128- and
+  // 512-bit carry-less folds (the 512-bit loop runs 1-4 times), the 16-byte
+  // steps, every tail length, and all together; offsets 0-15 put the loads
+  // at every alignment.
   const auto buf = random_bytes(1024 + 16, 5);
   for (std::size_t offset = 0; offset < 16; ++offset) {
     for (std::size_t len = 0; len <= 1024; ++len) {
@@ -390,18 +391,27 @@ TEST_F(FaultTest, Crc32MatchesReferenceOnAModelSizedBuffer) {
               crc32_reference(buf.data(), buf.size()))
         << "length " << len;
   }
+  // From 64 KiB the 512-bit fold starts at a cache line; offsets 0-63 give
+  // every count of bytes before it.
+  const auto buf = random_bytes(65536 + 64, 9);
+  for (std::size_t offset = 0; offset < 64; ++offset) {
+    ASSERT_EQ(vf::util::crc32(buf.data() + offset, 65536),
+              crc32_reference(buf.data() + offset, 65536))
+        << "offset " << offset;
+  }
 }
 
 TEST_F(FaultTest, Crc32ChainsAcrossArbitrarySplits) {
   const auto buf = random_bytes(4099, 7);
   const std::uint32_t whole = crc32_reference(buf.data(), buf.size());
   vf::util::Rng rng(8);
-  // Fixed cuts put a part's start or end on every edge of the 64-byte and
-  // 16-byte folds, so chained calls enter and leave them mid-buffer.
-  std::vector<std::size_t> cuts = {0,    1,    15,   16,   17,   31,   32,
-                                   33,   63,   64,   65,   79,   80,   127,
-                                   128,  129,  4035, 4082, 4083, 4084, 4098,
-                                   4099};
+  // Fixed cuts put a part's start or end on every edge of the 256-, 64-
+  // and 16-byte folds, so chained calls enter and leave them mid-buffer.
+  std::vector<std::size_t> cuts = {
+      0,    1,    15,   16,   17,   31,   32,   33,   63,   64,
+      65,   79,   80,   127,  128,  129,  255,  256,  257,  271,
+      272,  319,  320,  511,  512,  513,  3842, 3843, 3844, 4035,
+      4082, 4083, 4084, 4098, 4099};
   for (int i = 0; i < 64; ++i) cuts.push_back(rng.below(4100));
   for (const std::size_t a : cuts) {
     for (const std::size_t b : {a, (a + 4099) / 2, std::size_t{4099}}) {
